@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     if (now >= next_report) {
       print_table(coordinator);
       if (server != nullptr) {
-        server->broadcast_frame(fleet_frame(coordinator.summary()));
+        server->broadcast_frame(frame(coordinator.summary()));
       }
       next_report = now + std::chrono::duration_cast<
                               std::chrono::steady_clock::duration>(

@@ -403,7 +403,7 @@ int run_predictions_demo(const std::string& weights_path) {
   auto sink = std::make_shared<PredictionSink>(
       predictor, sink_config, &pipeline.metrics_registry(),
       [server](const PredictionSet& set) {
-        server->broadcast_frame(prediction_frame(set));
+        server->broadcast_frame(frame(set));
       });
   pipeline.add_sink("predict", sink);
   pipeline.add_sink("stream", server);

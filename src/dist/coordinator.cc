@@ -80,8 +80,7 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
       leases_(config_.cells.size(),
               LeaseTable::Config{config_.lease_ttl_ms / 1000.0,
                                  config_.backoff_initial_s,
-                                 config_.backoff_max_s,
-                                 config_.backoff_factor}),
+                                 config_.backoff_max_s}),
       store_(config_.store, registry_) {
   if (!config_.standby_of.empty()) {
     role_ = CoordinatorRole::kStandby;
@@ -302,7 +301,7 @@ void FleetCoordinator::read_connection(Connection& conn) {
       VersionReject reject;
       reject.rejected = *rejected;
       reject.message = conn.parser.error_message();
-      const std::vector<std::uint8_t> reply = version_reject_frame(reject);
+      const std::vector<std::uint8_t> reply = frame(reject);
       send_all(conn.fd, reply.data(), reply.size());
     }
     const std::uint64_t worker = conn.worker_id;
@@ -316,39 +315,33 @@ void FleetCoordinator::read_connection(Connection& conn) {
 void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kWorkerHello: {
-      if (auto hello = decode_worker_hello(frame.payload)) {
+      if (auto hello = decode<WorkerHello>(frame.payload)) {
         handle_worker_hello(conn, *hello);
       }
       return;
     }
     case FrameType::kStandbyHello: {
-      if (auto hello = decode_standby_hello(frame.payload)) {
+      if (auto hello = decode<StandbyHello>(frame.payload)) {
         handle_standby_hello(conn, *hello);
       }
       return;
     }
     case FrameType::kLeaseAck: {
-      if (auto ack = decode_lease_ack(frame.payload)) {
+      if (auto ack = decode<LeaseAck>(frame.payload)) {
         handle_lease_ack(conn, *ack);
       }
       return;
     }
     case FrameType::kWorkerHeartbeat: {
-      if (auto hb = decode_worker_heartbeat(frame.payload)) {
+      if (auto hb = decode<WorkerHeartbeat>(frame.payload)) {
         handle_heartbeat(conn, *hb);
       }
       return;
     }
-    case FrameType::kCellReport: {
-      if (auto report = decode_cell_report(frame.payload)) {
-        handle_cell_report(conn, *report);
-      }
-      return;
-    }
     case FrameType::kCellReportBatch: {
-      // v4 workers fold all their leases' reports into one frame; each
+      // Workers fold all their leases' reports into one frame; each
       // element goes through the same per-report path.
-      if (auto batch = decode_cell_report_batch(frame.payload)) {
+      if (auto batch = decode<CellReportBatch>(frame.payload)) {
         for (const CellReport& report : batch->reports) {
           handle_cell_report(conn, report);
         }
@@ -356,7 +349,7 @@ void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
       return;
     }
     case FrameType::kPrediction: {
-      if (auto set = decode_prediction(frame.payload)) {
+      if (auto set = decode<PredictionSet>(frame.payload)) {
         handle_prediction(conn, *set);
       }
       return;
@@ -373,14 +366,7 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
     fence_self(hello.epoch);
   }
   if (role_ == CoordinatorRole::kStandby || deposed_) {
-    m_not_primary_tx_->inc();
-    NotPrimary info;
-    info.epoch = epoch_;
-    info.message =
-        role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = not_primary_frame(info);
-    send_all(conn.fd, reply.data(), reply.size());
-    close_connection(conn);
+    reply_not_primary(conn);
     return;
   }
   if (conn.worker_id != 0) {
@@ -402,26 +388,28 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
   }
 }
 
+void FleetCoordinator::reply_not_primary(Connection& conn) {
+  m_not_primary_tx_->inc();
+  NotPrimary info;
+  info.epoch = epoch_;
+  info.message = role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
+  const std::vector<std::uint8_t> reply = frame(info);
+  send_all(conn.fd, reply.data(), reply.size());
+  close_connection(conn);
+}
+
 void FleetCoordinator::handle_standby_hello(Connection& conn,
                                             const StandbyHello& /*hello*/) {
   if (conn.worker_id != 0 || conn.is_replica) {
     return;
   }
   if (role_ != CoordinatorRole::kPrimary || deposed_) {
-    m_not_primary_tx_->inc();
-    NotPrimary info;
-    info.epoch = epoch_;
-    info.message =
-        role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = not_primary_frame(info);
-    send_all(conn.fd, reply.data(), reply.size());
-    close_connection(conn);
+    reply_not_primary(conn);
     return;
   }
   conn.is_replica = true;
-  const std::vector<std::uint8_t> frame =
-      replica_snapshot_frame(build_snapshot());
-  if (!send_all(conn.fd, frame.data(), frame.size())) {
+  const std::vector<std::uint8_t> snapshot = frame(build_snapshot());
+  if (!send_all(conn.fd, snapshot.data(), snapshot.size())) {
     close_connection(conn);
     return;
   }
@@ -525,7 +513,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
     grant.base_slot = records_[lease->cell_index].lease_base_slot;
     grant.epoch = epoch_;
     grant.spec = wire_spec(lease->cell_index, lease->handoffs);
-    send_to_worker(conn.worker_id, lease_frame(grant));
+    send_to_worker(conn.worker_id, frame(grant));
   }
 }
 
@@ -664,7 +652,7 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
       revoke.cell_index = cell;
       revoke.reason = "lease expired";
       revoke.epoch = epoch_;
-      send_to_worker(holder, lease_revoke_frame(revoke));
+      send_to_worker(holder, frame(revoke));
     }
     // Assignment scan: place unassigned cells whose backoff has elapsed.
     for (const std::uint32_t cell : leases_.assignable(now)) {
@@ -771,7 +759,7 @@ void FleetCoordinator::try_assign(std::uint32_t cell_index,
   grant.base_slot = record.lease_base_slot;
   grant.epoch = epoch_;
   grant.spec = wire_spec(cell_index, incarnation);
-  send_to_worker(*worker_id, lease_frame(grant));
+  send_to_worker(*worker_id, frame(grant));
 }
 
 void FleetCoordinator::rebalance(Clock::time_point now) {
@@ -811,7 +799,7 @@ void FleetCoordinator::rebalance(Clock::time_point now) {
       revoke.cell_index = cell;
       revoke.reason = "rebalance";
       revoke.epoch = epoch_;
-      if (!send_to_worker(id, lease_revoke_frame(revoke))) {
+      if (!send_to_worker(id, frame(revoke))) {
         break;  // worker died mid-shed; its leases are already released
       }
     }
@@ -864,15 +852,15 @@ bool FleetCoordinator::has_replica() const {
 
 void FleetCoordinator::replicate(ReplicaEvent event) {
   event.epoch = epoch_;
-  std::vector<std::uint8_t> frame;  // encoded lazily, once
+  std::vector<std::uint8_t> bytes;  // encoded lazily, once
   for (auto& conn : connections_) {
     if (!conn->is_replica || conn->fd < 0) {
       continue;
     }
-    if (frame.empty()) {
-      frame = replica_event_frame(event);
+    if (bytes.empty()) {
+      bytes = frame(event);
     }
-    if (!send_all(conn->fd, frame.data(), frame.size())) {
+    if (!send_all(conn->fd, bytes.data(), bytes.size())) {
       // Drop the tail; the standby redials and re-snapshots.
       close_connection(*conn);
       continue;
@@ -966,8 +954,8 @@ void FleetCoordinator::maybe_connect_upstream() {
                sizeof(send_timeout));
   StandbyHello hello;
   hello.name = "standby:" + std::to_string(port_);
-  const std::vector<std::uint8_t> frame = standby_hello_frame(hello);
-  if (!send_all(fd, frame.data(), frame.size())) {
+  const std::vector<std::uint8_t> bytes = frame(hello);
+  if (!send_all(fd, bytes.data(), bytes.size())) {
     ::close(fd);
     return;
   }
@@ -1008,7 +996,7 @@ void FleetCoordinator::read_upstream() {
 void FleetCoordinator::handle_replication_frame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kReplicaSnapshot: {
-      if (auto snapshot = decode_replica_snapshot(frame.payload)) {
+      if (auto snapshot = decode<ReplicaSnapshot>(frame.payload)) {
         m_replica_snapshots_rx_->inc();
         apply_snapshot(*snapshot, Clock::now());
       } else {
@@ -1017,7 +1005,7 @@ void FleetCoordinator::handle_replication_frame(const Frame& frame) {
       return;
     }
     case FrameType::kReplicaEvent: {
-      if (auto event = decode_replica_event(frame.payload)) {
+      if (auto event = decode<ReplicaEvent>(frame.payload)) {
         m_replica_events_rx_->inc();
         apply_event(*event, Clock::now());
       } else {

@@ -3,7 +3,7 @@
 // listening socket; FleetWorker processes connect, announce capacity with
 // kWorkerHello, and are granted per-cell leases (kLease) with TTLs.
 // Workers renew their leases with kWorkerHeartbeat, stream telemetry back
-// as kCellReport frames, and can be told to drop a cell with kLeaseRevoke
+// as kCellReportBatch frames, and can be told to drop a cell with kLeaseRevoke
 // (rebalancing toward a newly joined worker).
 //
 // Failure model: a worker that disappears (socket EOF, send failure) or
@@ -120,7 +120,6 @@ struct CoordinatorConfig {
   // Reassignment backoff (per cell, escalating on repeated failures).
   double backoff_initial_s = 0.05;
   double backoff_max_s = 1.0;
-  double backoff_factor = 2.0;
   /// When a worker joins, revoke leases from overloaded workers so the
   /// fleet converges toward an even split.
   bool rebalance_on_join = true;
@@ -205,7 +204,7 @@ class FleetCoordinator {
   [[nodiscard]] const HistoryStore& store() const { return store_; }
 
   /// Latest per-UE throughput PredictionSet forwarded by each cell's
-  /// worker (empty until a v4 worker with prediction enabled reports).
+  /// worker (empty until a worker with prediction enabled reports).
   /// Keyed by fleet-global cell index — the fleet-wide prediction view.
   [[nodiscard]] std::map<std::uint32_t, PredictionSet> predictions() const;
 
@@ -250,6 +249,9 @@ class FleetCoordinator {
   void read_connection(Connection& conn);
   void handle_frame(Connection& conn, const Frame& frame);
   void handle_worker_hello(Connection& conn, const WorkerHello& hello);
+  /// Answer a hello with kNotPrimary (we are a standby or deposed) and
+  /// hang up.
+  void reply_not_primary(Connection& conn);
   void handle_lease_ack(Connection& conn, const LeaseAck& ack);
   void handle_heartbeat(Connection& conn, const WorkerHeartbeat& hb);
   void handle_cell_report(Connection& conn, const CellReport& report);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/backoff.h"
+
 namespace nrs {
 
 namespace {
@@ -86,19 +88,17 @@ void LeaseTable::release(std::uint32_t cell_index, bool penalize,
   lease.worker_id = 0;
   ++lease.handoffs;
   if (penalize) {
-    lease.backoff_s = lease.backoff_s <= 0.0
-                          ? config_.backoff_initial_s
-                          : std::min(config_.backoff_max_s,
-                                     lease.backoff_s *
-                                         config_.backoff_factor);
-    lease.retry_at = after(now, lease.backoff_s);
+    const BackoffPolicy policy{config_.backoff_initial_s,
+                               config_.backoff_max_s};
+    lease.retry_at =
+        after(now, backoff_base_delay(policy, lease.backoff_step++));
   } else {
     lease.retry_at = now;
   }
 }
 
 void LeaseTable::note_progress(std::uint32_t cell_index) {
-  leases_[cell_index].backoff_s = 0.0;
+  leases_[cell_index].backoff_step = 0;
 }
 
 void LeaseTable::reset(std::size_t n_cells) {

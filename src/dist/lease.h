@@ -32,7 +32,9 @@ struct Lease {
   unsigned handoffs = 0;
   std::chrono::steady_clock::time_point expires_at{};
   std::chrono::steady_clock::time_point retry_at{};
-  double backoff_s = 0.0;  ///< 0 = healthy; next release starts at initial
+  /// Penalized releases since the cell last made progress: the step of
+  /// the backoff schedule its next penalty waits (0 = healthy).
+  unsigned backoff_step = 0;
 };
 
 class LeaseTable {
@@ -43,7 +45,6 @@ class LeaseTable {
     double ttl_s = 1.5;
     double backoff_initial_s = 0.05;
     double backoff_max_s = 1.0;
-    double backoff_factor = 2.0;
   };
 
   LeaseTable(std::size_t n_cells, Config config);

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/backoff.h"
 #include "nrscope/slot_sink.h"
 #include "ue/traffic.h"
 
@@ -385,14 +386,12 @@ void FleetOrchestrator::fail_cell(CellRunner& runner, bool crashed) {
     set_state(runner, FleetCellState::kFailed);
     return;
   }
-  runner.backoff_s =
-      runner.backoff_s <= 0.0
-          ? config_.backoff_initial_s
-          : std::min(config_.backoff_max_s,
-                     runner.backoff_s * config_.backoff_factor);
+  const BackoffPolicy policy{config_.backoff_initial_s,
+                             config_.backoff_max_s};
+  const double backoff_s = backoff_base_delay(policy, runner.backoff_step++);
   runner.restart_at =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(runner.backoff_s));
+                         std::chrono::duration<double>(backoff_s));
   set_state(runner, FleetCellState::kBackoff);
 }
 
@@ -434,7 +433,7 @@ void FleetOrchestrator::tick() {
     }
     if (aggregator_.cell_slots(runner.index) - runner.slots_at_start >=
         config_.healthy_slots) {
-      runner.backoff_s = 0.0;  // healthy again: backoff restarts from initial
+      runner.backoff_step = 0;  // healthy again: backoff restarts from initial
     }
     // A resyncing engine still delivers slots, so it never looks stalled;
     // in-place recovery is the preferred outcome and gets the whole
@@ -462,7 +461,7 @@ void FleetOrchestrator::tick() {
   ++tick_count_;
   if (config_.stream != nullptr && config_.aggregate_period_ticks > 0 &&
       tick_count_ % config_.aggregate_period_ticks == 0) {
-    config_.stream->broadcast_frame(fleet_frame(summary()));
+    config_.stream->broadcast_frame(frame(summary()));
   }
 }
 

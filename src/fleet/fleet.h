@@ -111,7 +111,6 @@ struct FleetConfig {
   double stall_timeout_s = 1.0;  ///< heartbeat silence -> stall
   double backoff_initial_s = 0.02;
   double backoff_max_s = 0.5;
-  double backoff_factor = 2.0;
   /// Give up on a cell after this many restarts (-1 = never).
   int max_restarts = 8;
   /// A cell that delivers this many slots in one incarnation is healthy
@@ -220,7 +219,7 @@ class FleetOrchestrator {
     FleetCellState state = FleetCellState::kBackoff;
     unsigned incarnation = 0;
     unsigned restarts = 0;
-    double backoff_s = 0.0;  ///< 0 = healthy (next failure starts initial)
+    unsigned backoff_step = 0;  ///< restarts since healthy (0 = healthy)
     std::chrono::steady_clock::time_point restart_at{};
     std::uint64_t feed_slot = 0;        ///< gNB slots this incarnation
     std::uint64_t accepted_pushes = 0;  ///< pipeline accepts, incarnation

@@ -76,13 +76,13 @@ std::optional<QueryResponse> TelemetryStreamClient::query(
     std::lock_guard lock(pending_mutex_);
     future = pending_[id].get_future();
   }
-  const std::vector<std::uint8_t> frame = query_frame(request);
+  const std::vector<std::uint8_t> bytes = frame(request);
   bool sent = false;
   {
     std::lock_guard lock(send_mutex_);
     const int fd = live_fd_.load();
     if (fd >= 0 && connected_.load()) {
-      sent = send_all(fd, frame.data(), frame.size());
+      sent = send_all(fd, bytes.data(), bytes.size());
     }
   }
   if (!sent) {
@@ -272,11 +272,21 @@ bool TelemetryStreamClient::dispatch_frame(const Frame& frame) {
     FrameType type;
     Handler handler;
   } kTable[] = {
-      {FrameType::kHello, &TelemetryStreamClient::handle_hello},
-      {FrameType::kSlot, &TelemetryStreamClient::handle_slot},
-      {FrameType::kMetrics, &TelemetryStreamClient::handle_metrics},
-      {FrameType::kFleet, &TelemetryStreamClient::handle_fleet},
-      {FrameType::kPrediction, &TelemetryStreamClient::handle_prediction},
+      {FrameType::kHello,
+       &TelemetryStreamClient::handle_payload<
+           HelloInfo, &StreamClientHandlers::on_connected>},
+      {FrameType::kSlot,
+       &TelemetryStreamClient::handle_payload<SlotResult,
+                                              &StreamClientHandlers::on_slot>},
+      {FrameType::kMetrics,
+       &TelemetryStreamClient::handle_payload<
+           MetricsSnapshot, &StreamClientHandlers::on_metrics>},
+      {FrameType::kFleet,
+       &TelemetryStreamClient::handle_payload<
+           FleetSummary, &StreamClientHandlers::on_fleet>},
+      {FrameType::kPrediction,
+       &TelemetryStreamClient::handle_payload<
+           PredictionSet, &StreamClientHandlers::on_prediction>},
       {FrameType::kHeartbeat, &TelemetryStreamClient::handle_heartbeat},
       {FrameType::kEnd, &TelemetryStreamClient::handle_end},
       {FrameType::kQueryResult,
@@ -292,54 +302,11 @@ bool TelemetryStreamClient::dispatch_frame(const Frame& frame) {
   return false;
 }
 
-bool TelemetryStreamClient::handle_hello(const Frame& frame) {
-  if (auto hello = decode_hello(frame.payload)) {
-    if (handlers_.on_connected) {
-      handlers_.on_connected(*hello);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_slot(const Frame& frame) {
-  if (auto slot = decode_slot(frame.payload)) {
-    if (handlers_.on_slot) {
-      handlers_.on_slot(*slot);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_metrics(const Frame& frame) {
-  if (auto metrics = decode_metrics(frame.payload)) {
-    if (handlers_.on_metrics) {
-      handlers_.on_metrics(*metrics);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_fleet(const Frame& frame) {
-  if (auto fleet = decode_fleet(frame.payload)) {
-    if (handlers_.on_fleet) {
-      handlers_.on_fleet(*fleet);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_prediction(const Frame& frame) {
-  if (auto set = decode_prediction(frame.payload)) {
-    if (handlers_.on_prediction) {
-      handlers_.on_prediction(*set);
+template <class T, auto Handler>
+bool TelemetryStreamClient::handle_payload(const Frame& frame) {
+  if (auto payload = decode<T>(frame.payload)) {
+    if (const auto& handler = handlers_.*Handler) {
+      handler(*payload);
     }
   } else {
     m_decode_errors_->inc();
@@ -362,7 +329,7 @@ bool TelemetryStreamClient::handle_end(const Frame&) {
 
 bool TelemetryStreamClient::handle_version_reject(const Frame& frame) {
   VersionReject reject;
-  if (auto decoded = decode_version_reject(frame.payload)) {
+  if (auto decoded = decode<VersionReject>(frame.payload)) {
     reject = std::move(*decoded);
   } else {
     m_decode_errors_->inc();
@@ -387,7 +354,7 @@ bool TelemetryStreamClient::handle_version_reject(const Frame& frame) {
 }
 
 bool TelemetryStreamClient::handle_query_result(const Frame& frame) {
-  auto response = decode_query_result(frame.payload);
+  auto response = decode<QueryResponse>(frame.payload);
   if (!response) {
     m_decode_errors_->inc();
     return false;

@@ -131,11 +131,10 @@ class TelemetryStreamClient {
   /// Route one well-framed inbound frame through the dispatch table;
   /// returns true when the client should stop (end-of-stream row).
   bool dispatch_frame(const Frame& frame);
-  bool handle_hello(const Frame& frame);
-  bool handle_slot(const Frame& frame);
-  bool handle_metrics(const Frame& frame);
-  bool handle_fleet(const Frame& frame);
-  bool handle_prediction(const Frame& frame);
+  /// Decode a T payload and hand it to the `Handler` member of
+  /// StreamClientHandlers (a decode failure counts as a decode error).
+  template <class T, auto Handler>
+  bool handle_payload(const Frame& frame);
   bool handle_heartbeat(const Frame& frame);
   bool handle_end(const Frame& frame);
   bool handle_query_result(const Frame& frame);

@@ -198,7 +198,7 @@ void TelemetryStreamServer::accept_loop() {
     hello.next_slot = next_slot_.load();
     client->queue.try_push(
         std::make_shared<const std::vector<std::uint8_t>>(
-            hello_frame(hello)));
+            frame(hello)));
     Client& ref = *client;
     client->sender = std::thread([this, &ref] { sender_loop(ref); });
     clients_.push_back(std::move(client));
@@ -244,7 +244,7 @@ void TelemetryStreamServer::read_client(
     if (frame->type != FrameType::kQuery) {
       continue;  // clients only speak queries upstream; ignore the rest
     }
-    if (auto request = decode_query(frame->payload)) {
+    if (auto request = decode<QueryRequest>(frame->payload)) {
       dispatch_query(client, *request);
     } else {
       m_query_errors_->inc();
@@ -252,7 +252,7 @@ void TelemetryStreamServer::read_client(
   }
   if (client->parser.error()) {
     if (const auto rejected = client->parser.rejected_version()) {
-      // The peer speaks a protocol version outside our window.  Tell it so
+      // The peer speaks a protocol version other than ours.  Tell it so
       // with a structured reject frame (best effort, synchronous — the
       // send mutex keeps the sender thread from interleaving a frame)
       // before dropping the connection, so old clients see a clear error
@@ -261,9 +261,9 @@ void TelemetryStreamServer::read_client(
       VersionReject reject;
       reject.rejected = *rejected;
       reject.message = client->parser.error_message();
-      const std::vector<std::uint8_t> frame = version_reject_frame(reject);
+      const std::vector<std::uint8_t> reply = frame(reject);
       std::lock_guard lock(client->send_mutex);
-      send_all(client->fd, frame.data(), frame.size());
+      send_all(client->fd, reply.data(), reply.size());
     } else {
       // Garbage on the request stream: the framing is unrecoverable, so
       // drop the connection rather than guess at resync.
@@ -284,11 +284,11 @@ void TelemetryStreamServer::dispatch_query(
     response.kind = request.kind;
     response.status = QueryStatus::kUnavailable;
     response.error = "no query handler attached";
-    const auto frame = std::make_shared<const std::vector<std::uint8_t>>(
-        query_result_frame(response));
+    const auto reply =
+        std::make_shared<const std::vector<std::uint8_t>>(frame(response));
     std::lock_guard lock(clients_mutex_);
     if (!client->dead.load()) {
-      enqueue(*client, frame);
+      enqueue(*client, reply);
     }
     return;
   }
@@ -313,14 +313,14 @@ void TelemetryStreamServer::dispatch_query(
     }
     response.correlation_id = request.correlation_id;
     response.kind = request.kind;
-    const auto frame = std::make_shared<const std::vector<std::uint8_t>>(
-        query_result_frame(response));
+    const auto reply =
+        std::make_shared<const std::vector<std::uint8_t>>(frame(response));
     {
       // Same lock as broadcast(): the client object outlives a reap via
       // the shared_ptr, and `dead` gates enqueueing onto a closed queue.
       std::lock_guard lock(clients_mutex_);
       if (!client->dead.load()) {
-        enqueue(*client, frame);
+        enqueue(*client, reply);
       }
     }
     m_query_inflight_->add(-1);
@@ -423,10 +423,10 @@ void TelemetryStreamServer::on_slot(const SlotResult& result) {
     }
   }
   broadcast(std::make_shared<const std::vector<std::uint8_t>>(
-      slot_frame(result)));
+      frame(result)));
   if (metrics_due) {
     broadcast(std::make_shared<const std::vector<std::uint8_t>>(
-        metrics_frame(registry_->snapshot())));
+        frame(registry_->snapshot())));
   }
 }
 

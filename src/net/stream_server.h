@@ -86,9 +86,9 @@ class TelemetryStreamServer : public SlotSink {
   void on_finish() override;
 
   /// Broadcast an arbitrary pre-encoded frame — e.g. the fleet
-  /// orchestrator's periodic aggregate rollup (fleet_frame()) — to every
-  /// connected client.  Thread-safe; a slow client sheds it under the same
-  /// backpressure policy as slot frames.
+  /// orchestrator's periodic aggregate rollup, frame(FleetSummary) — to
+  /// every connected client.  Thread-safe; a slow client sheds it under
+  /// the same backpressure policy as slot frames.
   void broadcast_frame(std::vector<std::uint8_t> frame);
 
   /// The actual listening port (resolves config.port == 0).

@@ -120,7 +120,6 @@ LeaseTable::Config lease_config() {
   cfg.ttl_s = 1.0;
   cfg.backoff_initial_s = 0.05;
   cfg.backoff_max_s = 0.4;
-  cfg.backoff_factor = 2.0;
   return cfg;
 }
 
@@ -170,19 +169,24 @@ TEST(LeaseTable, RefusalReleasesWithPenaltyAndBumpsHandoffs) {
 TEST(LeaseTable, BackoffEscalatesToCapAndProgressResetsIt) {
   LeaseTable table(1, lease_config());
   auto now = Clock::now();
+  const auto held_for = [&](double s) {
+    return table.cell(0).retry_at - now ==
+           std::chrono::duration_cast<Clock::duration>(
+               std::chrono::duration<double>(s));
+  };
   // 0.05 -> 0.1 -> 0.2 -> 0.4 (cap) -> 0.4.
   const double expected[] = {0.05, 0.1, 0.2, 0.4, 0.4};
   for (const double backoff : expected) {
     table.grant(0, 7, now);
     table.release(0, /*penalize=*/true, now);
-    EXPECT_DOUBLE_EQ(table.cell(0).backoff_s, backoff);
+    EXPECT_TRUE(held_for(backoff)) << backoff;
     now += std::chrono::seconds(1);
   }
   // Real progress under a fresh lease resets the escalation.
   table.grant(0, 7, now);
   table.note_progress(0);
   table.release(0, /*penalize=*/true, now);
-  EXPECT_DOUBLE_EQ(table.cell(0).backoff_s, 0.05);
+  EXPECT_TRUE(held_for(0.05));
 }
 
 TEST(LeaseTable, DeliberateReleaseIsImmediatelyAssignable) {
@@ -694,8 +698,8 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
   WorkerHello hello;
   hello.name = "from-the-future";
   hello.epoch = 99;
-  const auto frame = worker_hello_frame(hello);
-  ASSERT_TRUE(send_all(fd, frame.data(), frame.size()));
+  const auto bytes = frame(hello);
+  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
 
   ASSERT_TRUE(wait_until([&] { return coordinator.deposed(); }, 10.0))
       << "higher-epoch hello never fenced the stale primary";
@@ -711,7 +715,7 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
       parser.feed({buf, static_cast<std::size_t>(n)});
       if (const auto got = parser.next();
           got.has_value() && got->type == FrameType::kNotPrimary) {
-        const auto info = decode_not_primary(got->payload);
+        const auto info = decode<NotPrimary>(got->payload);
         ASSERT_TRUE(info.has_value());
         EXPECT_EQ(info->message, "deposed");
         saw_not_primary = true;
@@ -724,6 +728,58 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
     }
   }
   EXPECT_TRUE(saw_not_primary);
+  ::close(fd);
+  coordinator.stop();
+}
+
+TEST(DistE2E, Version3WorkerHelloGetsStructuredReject) {
+  // A worker built before the epoch field speaks v3.  Its hello cannot
+  // decode here, so the coordinator must refuse it by header — with a
+  // kUnsupportedVersion frame and a hang-up — instead of ignoring it.
+  MetricsRegistry registry;
+  FleetCoordinator coordinator(coordinator_config(1), &registry);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(coordinator.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::vector<std::uint8_t> payload = encode(WorkerHello{"old", 2});
+  payload.resize(payload.size() - 8);  // the v3 layout has no epoch
+  std::vector<std::uint8_t> bytes =
+      encode_frame(FrameType::kWorkerHello, payload);
+  bytes[4] = 3;  // header version, little-endian u16 at bytes 4-5
+  bytes[5] = 0;
+  ASSERT_TRUE(send_all(fd, bytes.data(), bytes.size()));
+
+  FrameParser parser;
+  std::optional<VersionReject> reject;
+  bool eof = false;
+  std::uint8_t buf[4096];
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (!eof && Clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      parser.feed({buf, static_cast<std::size_t>(n)});
+      while (const auto got = parser.next()) {
+        if (got->type == FrameType::kUnsupportedVersion) {
+          reject = decode<VersionReject>(got->payload);
+        }
+      }
+    } else if (n == 0) {
+      eof = true;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_TRUE(reject.has_value()) << "the old worker was never told why";
+  EXPECT_EQ(reject->rejected, 3);
+  EXPECT_EQ(reject->max_version, kWireVersion);
+  EXPECT_TRUE(eof) << "the coordinator must hang up after the reject";
+  EXPECT_EQ(coordinator.worker_count(), 0u);
+  EXPECT_EQ(registry.snapshot().counter_value("dist.version_rejects"), 1u);
   ::close(fd);
   coordinator.stop();
 }
@@ -821,11 +877,11 @@ TEST(DistE2E, StaleEpochLeaseGrantIsRejectedAndCounted) {
   fresh.spec.name = "cell0";
   fresh.spec.preset = "srsran";
   fresh.spec.n_ues = 1;
-  ASSERT_TRUE(fake.send(lease_frame(fresh)));
+  ASSERT_TRUE(fake.send(frame(fresh)));
   {
     const auto frame = fake.read_frame(FrameType::kLeaseAck);
     ASSERT_TRUE(frame.has_value());
-    const auto ack = decode_lease_ack(frame->payload);
+    const auto ack = decode<LeaseAck>(frame->payload);
     ASSERT_TRUE(ack.has_value());
     EXPECT_TRUE(ack->accepted);
     EXPECT_EQ(ack->epoch, 5u);
@@ -838,11 +894,11 @@ TEST(DistE2E, StaleEpochLeaseGrantIsRejectedAndCounted) {
   stale.lease_id = 2;
   stale.epoch = 3;
   stale.spec.cell_index = 1;
-  ASSERT_TRUE(fake.send(lease_frame(stale)));
+  ASSERT_TRUE(fake.send(frame(stale)));
   {
     const auto frame = fake.read_frame(FrameType::kLeaseAck);
     ASSERT_TRUE(frame.has_value());
-    const auto ack = decode_lease_ack(frame->payload);
+    const auto ack = decode<LeaseAck>(frame->payload);
     ASSERT_TRUE(ack.has_value());
     EXPECT_FALSE(ack->accepted);
     EXPECT_EQ(ack->message, "stale epoch");
@@ -875,7 +931,7 @@ TEST(DistE2E, StaleEpochRevokeIsIgnored) {
   grant.spec.cell_index = 0;
   grant.spec.preset = "srsran";
   grant.spec.n_ues = 1;
-  ASSERT_TRUE(fake.send(lease_frame(grant)));
+  ASSERT_TRUE(fake.send(frame(grant)));
   ASSERT_TRUE(fake.read_frame(FrameType::kLeaseAck).has_value());
   ASSERT_TRUE(wait_until([&] { return worker.n_cells() == 1; }, 10.0));
 
@@ -885,14 +941,14 @@ TEST(DistE2E, StaleEpochRevokeIsIgnored) {
   stale.cell_index = 0;
   stale.reason = "imposter";
   stale.epoch = 3;
-  ASSERT_TRUE(fake.send(lease_revoke_frame(stale)));
+  ASSERT_TRUE(fake.send(frame(stale)));
   ASSERT_TRUE(wait_until([&] { return worker.stale_epoch_rejected() == 1; },
                          10.0));
   EXPECT_EQ(worker.n_cells(), 1u);
 
   // ...but the same revoke at the current term does.
   stale.epoch = 5;
-  ASSERT_TRUE(fake.send(lease_revoke_frame(stale)));
+  ASSERT_TRUE(fake.send(frame(stale)));
   ASSERT_TRUE(wait_until([&] { return worker.n_cells() == 0; }, 10.0));
 
   worker.stop();

@@ -186,7 +186,7 @@ TEST(Stream, DeliversPredictionFrames) {
   entry.actual_bps = 3.1e6;
   entry.abs_error_bps = 0.4e6;
   set.entries.push_back(entry);
-  server.broadcast_frame(prediction_frame(set));
+  server.broadcast_frame(frame(set));
 
   ASSERT_TRUE(wait_until([&] {
     std::lock_guard lock(mutex);
@@ -823,35 +823,12 @@ class RawPeer {
   FrameParser parser_;
 };
 
-TEST(StreamVersion, OlderClientWithinWindowIsServed) {
-  // A peer speaking the oldest still-supported version (v2) gets its query
-  // answered normally — the version window is backward-compatible.
-  StreamServerConfig cfg;
-  cfg.query_handler = [](const QueryRequest& request) {
-    QueryResponse response;
-    response.correlation_id = request.correlation_id;
-    response.status = QueryStatus::kOk;
-    response.kind = request.kind;
-    return response;
-  };
-  TelemetryStreamServer server(cfg);
-
-  RawPeer peer(server.port());
-  ASSERT_TRUE(peer.connected());
-  QueryRequest request;
-  request.correlation_id = 7777;
-  WireWriter w;
-  encode_query(request, w);
-  peer.send_frame(encode_frame_with_version(
-      kWireMinVersion, FrameType::kQuery,
-      std::span<const std::uint8_t>(w.data())));
-
-  Frame result;
-  ASSERT_TRUE(peer.read_until(FrameType::kQueryResult, result));
-  const auto response = decode_query_result(result.payload);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->correlation_id, 7777u);
-  EXPECT_EQ(response->status, QueryStatus::kOk);
+/// `frame` re-stamped with another protocol version (header bytes 4-5).
+std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> frame,
+                                       std::uint16_t version) {
+  frame[4] = static_cast<std::uint8_t>(version);
+  frame[5] = static_cast<std::uint8_t>(version >> 8);
+  return frame;
 }
 
 TEST(StreamVersion, TooOldClientGetsStructuredRejectThenDisconnect) {
@@ -860,23 +837,40 @@ TEST(StreamVersion, TooOldClientGetsStructuredRejectThenDisconnect) {
 
   RawPeer peer(server.port());
   ASSERT_TRUE(peer.connected());
-  // Speak v1: one version below the supported window.
-  peer.send_frame(encode_frame_with_version(
-      static_cast<std::uint16_t>(kWireMinVersion - 1), FrameType::kHeartbeat,
-      {}));
+  // One version behind: there is no compatibility window.
+  peer.send_frame(with_version(heartbeat_frame(), kWireVersion - 1));
 
   Frame reject_frame;
   ASSERT_TRUE(peer.read_until(FrameType::kUnsupportedVersion, reject_frame));
-  const auto reject = decode_version_reject(reject_frame.payload);
+  const auto reject = decode<VersionReject>(reject_frame.payload);
   ASSERT_TRUE(reject.has_value());
-  EXPECT_EQ(reject->rejected, kWireMinVersion - 1);
-  EXPECT_EQ(reject->min_version, kWireMinVersion);
+  EXPECT_EQ(reject->rejected, kWireVersion - 1);
+  EXPECT_EQ(reject->min_version, kWireVersion);
   EXPECT_EQ(reject->max_version, kWireVersion);
   EXPECT_FALSE(reject->message.empty());
   // The reject is a goodbye, not a negotiation: the server hangs up.
   EXPECT_TRUE(peer.wait_eof());
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("net.version_rejects"), 1u);
+}
+
+TEST(StreamVersion, Version3WorkerHelloGetsStructuredReject) {
+  // A v3 worker dialing the wrong port: its hello predates the epoch
+  // field, so the payload could never decode.  The header alone decides.
+  TelemetryStreamServer server(StreamServerConfig{});
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.connected());
+  std::vector<std::uint8_t> payload = encode(WorkerHello{"old", 2});
+  payload.resize(payload.size() - 8);  // drop the v5 epoch
+  peer.send_frame(
+      with_version(encode_frame(FrameType::kWorkerHello, payload), 3));
+
+  Frame reject_frame;
+  ASSERT_TRUE(peer.read_until(FrameType::kUnsupportedVersion, reject_frame));
+  const auto reject = decode<VersionReject>(reject_frame.payload);
+  ASSERT_TRUE(reject.has_value());
+  EXPECT_EQ(reject->rejected, 3);
+  EXPECT_TRUE(peer.wait_eof());
 }
 
 TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
@@ -917,8 +911,8 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
       VersionReject reject;
       reject.rejected = kWireVersion;
       reject.message = "speak version 99";
-      const auto frame = version_reject_frame(reject);
-      (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+      const auto bytes = frame(reject);
+      (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       ::close(fd);
     }
   });
