@@ -45,11 +45,9 @@ struct Options {
 };
 
 CellConfig preset_cell(const std::string& name) {
-  if (name == "srsran") return srsran_cell();
-  if (name == "mosolab") return mosolab_cell();
-  if (name == "amarisoft") return amarisoft_cell();
-  if (name == "tmobile1") return tmobile_cell1();
-  if (name == "tmobile2") return tmobile_cell2();
+  if (auto cell = cell_preset(name)) {
+    return *cell;
+  }
   std::fprintf(stderr, "unknown preset '%s' (srsran, mosolab, amarisoft, "
                        "tmobile1, tmobile2)\n", name.c_str());
   std::exit(1);

@@ -54,10 +54,17 @@ void Histogram::observe(double value) {
   const auto bucket =
       static_cast<std::size_t>(std::distance(bounds_.begin(), it));
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, value);
   atomic_min(min_, value);
   atomic_max(max_, value);
+}
+
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& bucket : counts_) {
+    total += bucket.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<double> Histogram::latency_buckets_us() {
@@ -274,8 +281,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     hs.counts.resize(hs.bounds.size() + 1);
     for (std::size_t i = 0; i < hs.counts.size(); ++i) {
       hs.counts[i] = h->bucket_count(i);
+      hs.count += hs.counts[i];
     }
-    hs.count = h->count();
     hs.sum = h->sum();
     hs.min = h->min();
     hs.max = h->max();

@@ -56,9 +56,9 @@ class Histogram {
 
   void observe(double value);
 
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Sum of the bucket counts (there is no separate total to drift
+  /// from them while writers run).
+  [[nodiscard]] std::uint64_t count() const;
 
   /// Default bucket edges for latencies in microseconds: roughly
   /// logarithmic from 1 us to 100 ms.
@@ -82,7 +82,6 @@ class Histogram {
   std::vector<double> bounds_;
   /// bounds_.size() + 1 buckets; the last one is the overflow bucket.
   std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
   std::atomic<double> max_;

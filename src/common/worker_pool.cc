@@ -40,9 +40,12 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::work_on_batch(std::unique_lock<std::mutex>& lock) {
-  // Snapshot the descriptor; mutex_ is held by the caller.
+  // Snapshot the descriptor; mutex_ is held by the caller.  Registering
+  // as a participant keeps run_batch from returning (and the next batch
+  // from resetting the dispenser) until this thread has left the batch.
   const auto* task = batch_task_;
   const std::size_t count = batch_count_;
+  ++batch_participants_;
   std::size_t done_here = 0;
   std::exception_ptr error;
   lock.unlock();
@@ -66,7 +69,7 @@ void WorkerPool::work_on_batch(std::unique_lock<std::mutex>& lock) {
     batch_error_ = error;
   }
   batch_completed_ += done_here;
-  if (batch_completed_ == count) {
+  if (--batch_participants_ == 0 && batch_completed_ == count) {
     batch_done_.notify_all();
   }
 }
@@ -151,7 +154,9 @@ void WorkerPool::run_batch(std::size_t count,
     wake_.notify_all();
     // The caller pulls shards too (work_on_batch unlocks while working).
     work_on_batch(lock);
-    batch_done_.wait(lock, [this] { return batch_completed_ == batch_count_; });
+    batch_done_.wait(lock, [this] {
+      return batch_completed_ == batch_count_ && batch_participants_ == 0;
+    });
     batch_task_ = nullptr;
     first_error = batch_error_;
     batch_error_ = nullptr;

@@ -88,6 +88,9 @@ class WorkerPool {
   std::size_t batch_count_ = 0;
   std::atomic<std::size_t> batch_next_{0};  ///< shard dispenser (lock-free)
   std::size_t batch_completed_ = 0;
+  /// Threads inside work_on_batch() for the live batch; run_batch returns
+  /// only once this drops to 0.
+  unsigned batch_participants_ = 0;
   std::exception_ptr batch_error_;
 
   std::vector<std::thread> threads_;

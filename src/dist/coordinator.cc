@@ -1,25 +1,31 @@
 #include "dist/coordinator.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "common/backoff.h"
-#include "net/socket_io.h"
 
 namespace nrs {
 
 namespace {
+
+/// Accepted connections beyond this are closed on arrival.
+constexpr std::size_t kMaxConnections = 64;
+/// Primary -> replica keepalive period (lets the standby tell a wedged
+/// primary from an idle one).
+constexpr double kReplicationHeartbeatS = 0.05;
+/// Standby: no replication traffic for this long -> the link is dead.
+constexpr double kReplicationTimeoutS = 0.6;
+/// Standby: how long the primary must stay unreachable (after a synced
+/// tail) before promotion.  Guards against promoting on a transient
+/// replication-link blip while the primary is still serving workers.
+constexpr double kPromoteAfterS = 0.3;
+/// Standby upstream redial backoff (jittered like every other path).
+constexpr BackoffPolicy kUpstreamBackoff{0.05, 0.5};
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -51,26 +57,6 @@ const char* to_string(CoordinatorRole role) {
   return "unknown";
 }
 
-bool parse_host_port(const std::string& endpoint, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= endpoint.size()) {
-    return false;
-  }
-  const std::string port_str = endpoint.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(port_str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) {
-    return false;
-  }
-  host = endpoint.substr(0, colon);
-  if (host.empty()) {
-    host = "127.0.0.1";
-  }
-  port = static_cast<std::uint16_t>(value);
-  return true;
-}
-
 FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
                                    MetricsRegistry* registry)
     : config_(std::move(config)),
@@ -84,11 +70,14 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
       store_(config_.store, registry_) {
   if (!config_.standby_of.empty()) {
     role_ = CoordinatorRole::kStandby;
-    if (!parse_host_port(config_.standby_of, upstream_host_,
-                         upstream_port_)) {
+    const auto primary = parse_endpoint(config_.standby_of);
+    if (!primary) {
       throw std::invalid_argument(
           "FleetCoordinator: bad standby_of endpoint " + config_.standby_of);
     }
+    upstream_redial_.emplace(
+        std::vector<TcpEndpoint>{*primary}, kUpstreamBackoff,
+        splitmix64(config_.seed ^ 0x5AFE57A2ull) | 1ull);
     // A standby's state (including the cell list) comes from the primary's
     // snapshot; epoch 0 marks "never synced".
     epoch_ = 0;
@@ -96,9 +85,8 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
     if (config_.cells.empty()) {
       throw std::invalid_argument("FleetCoordinator: no cells configured");
     }
-    epoch_ = std::max<std::uint64_t>(1, config_.initial_epoch);
+    epoch_ = 1;
   }
-  jitter_rng_ = Rng(splitmix64(config_.seed ^ 0x5AFE57A2ull) | 1ull);
   records_.reserve(config_.cells.size());
   for (std::uint32_t i = 0; i < config_.cells.size(); ++i) {
     CellRecord record;
@@ -136,33 +124,10 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
   m_epoch_gauge_ = &registry_->gauge("dist.epoch");
   m_epoch_gauge_->set(static_cast<std::int64_t>(epoch_));
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("FleetCoordinator: socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    throw std::runtime_error("FleetCoordinator: bad bind address " +
-                             config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("FleetCoordinator: cannot listen on " +
-                             config_.bind_address + ":" +
-                             std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  const TcpListener listener =
+      listen_tcp(config_.bind_address, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
 
   io_ = std::thread([this] { io_loop(); });
 }
@@ -191,10 +156,7 @@ void FleetCoordinator::stop() {
     }
   }
   connections_.clear();
-  if (upstream_fd_ >= 0) {
-    ::close(upstream_fd_);
-    upstream_fd_ = -1;
-  }
+  upstream_ = nullptr;
 }
 
 void FleetCoordinator::io_loop() {
@@ -205,9 +167,6 @@ void FleetCoordinator::io_loop() {
     pfds.clear();
     polled.clear();
     pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    // Slot 1 is the replication link to the primary; poll() ignores
-    // negative fds, so a primary (or a disconnected standby) pays nothing.
-    pfds.push_back(pollfd{upstream_fd_, POLLIN, 0});
     {
       std::lock_guard lock(state_mutex_);
       // Sweep connections closed in the previous round.
@@ -226,13 +185,10 @@ void FleetCoordinator::io_loop() {
     const auto now = Clock::now();
     std::lock_guard lock(state_mutex_);
     if (ready > 0) {
-      for (std::size_t i = 2; i < pfds.size(); ++i) {
-        if (pfds[i].revents != 0 && polled[i - 2]->fd >= 0) {
-          read_connection(*polled[i - 2]);
+      for (std::size_t i = 1; i < pfds.size(); ++i) {
+        if (pfds[i].revents != 0 && polled[i - 1]->fd >= 0) {
+          read_connection(*polled[i - 1], now);
         }
-      }
-      if (pfds[1].revents != 0 && upstream_fd_ >= 0) {
-        read_upstream();
       }
       if ((pfds[0].revents & POLLIN) != 0) {
         handle_accept();
@@ -243,22 +199,16 @@ void FleetCoordinator::io_loop() {
 }
 
 void FleetCoordinator::handle_accept() {
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  // Bound synchronous sends: a worker that stops draining its socket
+  // fails the send and is declared dead, instead of wedging the io thread.
+  const int fd = accept_tcp(listen_fd_, /*bound_sends=*/true);
   if (fd < 0) {
     return;
   }
-  if (connections_.size() >= config_.max_workers) {
+  if (connections_.size() >= kMaxConnections) {
     ::close(fd);
     return;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // Bound synchronous sends: a worker that stops draining its socket
-  // fails the send and is declared dead, instead of wedging the io thread.
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
   connections_.push_back(std::move(conn));
@@ -269,93 +219,85 @@ void FleetCoordinator::close_connection(Connection& conn) {
     ::close(conn.fd);
     conn.fd = -1;
   }
+  if (&conn == upstream_) {
+    upstream_ = nullptr;
+  }
 }
 
-void FleetCoordinator::read_connection(Connection& conn) {
-  std::uint8_t buf[65536];
-  const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-  if (n <= 0) {
-    if (n < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
-    // EOF: the fast death-detection path — a kill -9'd worker's kernel
-    // closes the socket long before the heartbeat timeout fires.
-    const std::uint64_t worker = conn.worker_id;
-    close_connection(conn);
-    if (worker != 0) {
-      declare_worker_dead(worker, "socket closed");
-    }
+void FleetCoordinator::read_connection(Connection& conn,
+                                       Clock::time_point now) {
+  const ReadResult result =
+      read_frames(conn.fd, conn.parser, [&](const Frame& frame) {
+        handle_frame(conn, frame);
+        return conn.fd >= 0;  // false: the frame handler closed it
+      });
+  if (conn.is_upstream && result.bytes > 0) {
+    upstream_last_rx_ = now;
+  }
+  if (result.status == ReadStatus::kOpen) {
     return;
   }
-  conn.parser.feed({buf, static_cast<std::size_t>(n)});
-  while (auto frame = conn.parser.next()) {
-    handle_frame(conn, *frame);
-    if (conn.fd < 0) {
-      return;  // the frame handler closed the connection
-    }
+  if (result.rejected_version) {
+    m_version_rejects_->inc();
+    const std::vector<std::uint8_t> reply =
+        version_reject_frame(*result.rejected_version);
+    send_all(conn.fd, reply.data(), reply.size());
   }
-  if (conn.parser.error()) {
-    if (const auto rejected = conn.parser.rejected_version()) {
-      m_version_rejects_->inc();
-      VersionReject reject;
-      reject.rejected = *rejected;
-      reject.message = conn.parser.error_message();
-      const std::vector<std::uint8_t> reply = frame(reject);
-      send_all(conn.fd, reply.data(), reply.size());
-    }
-    const std::uint64_t worker = conn.worker_id;
-    close_connection(conn);
-    if (worker != 0) {
-      declare_worker_dead(worker, "protocol error");
-    }
+  if (conn.is_upstream) {
+    // EOF: the primary died (or dropped us).  Promotion is standby_timers'
+    // decision — it waits kPromoteAfterS in case this was a blip.
+    drop_upstream(/*healthy=*/result.status == ReadStatus::kClosed);
+    return;
+  }
+  // EOF is the fast death-detection path — a kill -9'd worker's kernel
+  // closes the socket long before the heartbeat timeout fires.
+  const std::uint64_t worker = conn.worker_id;
+  close_connection(conn);
+  if (worker != 0) {
+    declare_worker_dead(worker, result.status == ReadStatus::kClosed
+                                    ? "socket closed"
+                                    : "protocol error");
   }
 }
 
 void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
+  if (conn.is_upstream) {
+    handle_replication_frame(frame);
+    return;
+  }
   switch (frame.type) {
-    case FrameType::kWorkerHello: {
-      if (auto hello = decode<WorkerHello>(frame.payload)) {
-        handle_worker_hello(conn, *hello);
-      }
-      return;
-    }
-    case FrameType::kStandbyHello: {
-      if (auto hello = decode<StandbyHello>(frame.payload)) {
-        handle_standby_hello(conn, *hello);
-      }
-      return;
-    }
-    case FrameType::kLeaseAck: {
-      if (auto ack = decode<LeaseAck>(frame.payload)) {
-        handle_lease_ack(conn, *ack);
-      }
-      return;
-    }
-    case FrameType::kWorkerHeartbeat: {
-      if (auto hb = decode<WorkerHeartbeat>(frame.payload)) {
-        handle_heartbeat(conn, *hb);
-      }
-      return;
-    }
-    case FrameType::kCellReportBatch: {
-      // Workers fold all their leases' reports into one frame; each
-      // element goes through the same per-report path.
-      if (auto batch = decode<CellReportBatch>(frame.payload)) {
-        for (const CellReport& report : batch->reports) {
-          handle_cell_report(conn, report);
-        }
-      }
-      return;
-    }
-    case FrameType::kPrediction: {
-      if (auto set = decode<PredictionSet>(frame.payload)) {
-        handle_prediction(conn, *set);
-      }
-      return;
-    }
+    case FrameType::kWorkerHello:
+      return on(conn, frame, &FleetCoordinator::handle_worker_hello);
+    case FrameType::kStandbyHello:
+      return on(conn, frame, &FleetCoordinator::handle_standby_hello);
+    case FrameType::kLeaseAck:
+      return on(conn, frame, &FleetCoordinator::handle_lease_ack);
+    case FrameType::kWorkerHeartbeat:
+      return on(conn, frame, &FleetCoordinator::handle_heartbeat);
+    case FrameType::kCellReportBatch:
+      return on(conn, frame, &FleetCoordinator::handle_report_batch);
+    case FrameType::kPrediction:
+      return on(conn, frame, &FleetCoordinator::handle_prediction);
     default:
       return;  // well-framed but not part of the coordination protocol
+  }
+}
+
+template <class T>
+void FleetCoordinator::on(Connection& conn, const Frame& frame,
+                          void (FleetCoordinator::*handler)(Connection&,
+                                                            const T&)) {
+  if (auto payload = decode<T>(frame.payload)) {
+    (this->*handler)(conn, *payload);
+  }
+}
+
+void FleetCoordinator::handle_report_batch(Connection& conn,
+                                           const CellReportBatch& batch) {
+  // Workers fold all their leases' reports into one frame; each element
+  // goes through the same per-report path.
+  for (const CellReport& report : batch.reports) {
+    handle_cell_report(conn, report);
   }
 }
 
@@ -661,15 +603,8 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
     // Replication keepalive: lets a standby tell an idle primary from a
     // dead one without waiting for fleet traffic.
     if (now >= next_replica_heartbeat_) {
-      next_replica_heartbeat_ =
-          now + to_duration(config_.replication_heartbeat_s);
-      const std::vector<std::uint8_t> beat = heartbeat_frame();
-      for (auto& conn : connections_) {
-        if (conn->is_replica && conn->fd >= 0 &&
-            !send_all(conn->fd, beat.data(), beat.size())) {
-          close_connection(*conn);
-        }
-      }
+      next_replica_heartbeat_ = now + to_duration(kReplicationHeartbeatS);
+      send_to_replicas(heartbeat_frame());
     }
   }
   m_workers_alive_->set(static_cast<std::int64_t>(catalog_.alive_count()));
@@ -851,22 +786,25 @@ bool FleetCoordinator::has_replica() const {
 }
 
 void FleetCoordinator::replicate(ReplicaEvent event) {
-  event.epoch = epoch_;
-  std::vector<std::uint8_t> bytes;  // encoded lazily, once
-  for (auto& conn : connections_) {
-    if (!conn->is_replica || conn->fd < 0) {
-      continue;
-    }
-    if (bytes.empty()) {
-      bytes = frame(event);
-    }
-    if (!send_all(conn->fd, bytes.data(), bytes.size())) {
-      // Drop the tail; the standby redials and re-snapshots.
-      close_connection(*conn);
-      continue;
-    }
-    m_replica_events_tx_->inc();
+  if (has_replica()) {  // encode only when someone listens
+    event.epoch = epoch_;
+    m_replica_events_tx_->inc(send_to_replicas(frame(event)));
   }
+}
+
+std::size_t FleetCoordinator::send_to_replicas(
+    const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  for (auto& conn : connections_) {
+    if (conn->is_replica && conn->fd >= 0) {
+      if (send_all(conn->fd, bytes.data(), bytes.size())) {
+        ++sent;
+      } else {
+        close_connection(*conn);  // the standby redials and re-snapshots
+      }
+    }
+  }
+  return sent;
 }
 
 ReplicaSnapshot FleetCoordinator::build_snapshot() const {
@@ -917,80 +855,30 @@ void FleetCoordinator::fence_self(std::uint64_t /*seen_epoch*/) {
 // ---- Replication: standby side ---------------------------------------
 
 void FleetCoordinator::maybe_connect_upstream() {
-  if (role_ != CoordinatorRole::kStandby || upstream_fd_ >= 0 ||
-      stopping_.load()) {
+  if (role_ != CoordinatorRole::kStandby || upstream_ != nullptr ||
+      stopping_.load() || !upstream_redial_->due(Clock::now())) {
     return;
   }
-  const auto now = Clock::now();
-  if (now < upstream_retry_at_) {
-    return;
-  }
-  // Schedule the next attempt up front so every failure path below is
-  // covered; a success resets the escalation.
-  const BackoffPolicy policy{config_.standby_backoff_initial_s,
-                             config_.standby_backoff_max_s, 2.0, 0.5};
-  const double delay =
-      jittered_backoff_delay(policy, upstream_attempts_, jitter_rng_);
-  upstream_retry_at_ = now + to_duration(delay);
-  ++upstream_attempts_;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(upstream_port_);
-  if (::inet_pton(AF_INET, upstream_host_.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
+  const TcpEndpoint& primary = upstream_redial_->endpoint();
+  const int fd = dial_tcp(primary.host, primary.port);
   StandbyHello hello;
   hello.name = "standby:" + std::to_string(port_);
   const std::vector<std::uint8_t> bytes = frame(hello);
-  if (!send_all(fd, bytes.data(), bytes.size())) {
-    ::close(fd);
+  if (fd < 0 || !send_all(fd, bytes.data(), bytes.size())) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    upstream_redial_->dial_failed(Clock::now());
     return;
   }
+  upstream_redial_->dial_succeeded();
+  auto conn = std::make_unique<Connection>();
+  conn->fd = fd;
+  conn->is_upstream = true;
   std::lock_guard lock(state_mutex_);
-  upstream_fd_ = fd;
-  upstream_parser_ = FrameParser{};
+  upstream_ = conn.get();
   upstream_last_rx_ = Clock::now();
-  upstream_attempts_ = 0;
-}
-
-void FleetCoordinator::read_upstream() {
-  std::uint8_t buf[65536];
-  const ssize_t n = ::recv(upstream_fd_, buf, sizeof(buf), 0);
-  const auto now = Clock::now();
-  if (n <= 0) {
-    if (n < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
-    // EOF: the primary died (or dropped us).  Promotion is standby_timers'
-    // decision — it waits promote_after_s in case this was a blip.
-    drop_upstream(now);
-    return;
-  }
-  upstream_last_rx_ = now;
-  upstream_parser_.feed({buf, static_cast<std::size_t>(n)});
-  while (auto frame = upstream_parser_.next()) {
-    handle_replication_frame(*frame);
-    if (upstream_fd_ < 0 || role_ != CoordinatorRole::kStandby) {
-      return;  // dropped (kNotPrimary) or promoted mid-batch
-    }
-  }
-  if (upstream_parser_.error()) {
-    drop_upstream(now);
-  }
+  connections_.push_back(std::move(conn));
 }
 
 void FleetCoordinator::handle_replication_frame(const Frame& frame) {
@@ -1000,7 +888,7 @@ void FleetCoordinator::handle_replication_frame(const Frame& frame) {
         m_replica_snapshots_rx_->inc();
         apply_snapshot(*snapshot, Clock::now());
       } else {
-        drop_upstream(Clock::now());
+        drop_upstream(/*healthy=*/false);
       }
       return;
     }
@@ -1009,7 +897,7 @@ void FleetCoordinator::handle_replication_frame(const Frame& frame) {
         m_replica_events_rx_->inc();
         apply_event(*event, Clock::now());
       } else {
-        drop_upstream(Clock::now());
+        drop_upstream(/*healthy=*/false);
       }
       return;
     }
@@ -1017,9 +905,9 @@ void FleetCoordinator::handle_replication_frame(const Frame& frame) {
       return;  // keepalive; upstream_last_rx_ already advanced
     case FrameType::kNotPrimary:
       // We dialed something that is not the acting primary (another
-      // standby, or a deposed resurrection).  Drop and redial — it may
-      // promote, or our address list may be racing a failover.
-      drop_upstream(Clock::now());
+      // standby, or a deposed resurrection).  Drop and redial after a
+      // backoff — it may promote, or we may be racing a failover.
+      drop_upstream(/*healthy=*/false);
       return;
     default:
       return;
@@ -1190,25 +1078,25 @@ void FleetCoordinator::apply_store_rows(
   }
 }
 
-void FleetCoordinator::drop_upstream(Clock::time_point /*now*/) {
-  if (upstream_fd_ >= 0) {
-    ::close(upstream_fd_);
-    upstream_fd_ = -1;
+void FleetCoordinator::drop_upstream(bool healthy) {
+  if (upstream_ != nullptr) {
+    close_connection(*upstream_);
   }
-  upstream_parser_ = FrameParser{};
-  // upstream_retry_at_ is already in the past (it was scheduled at the
-  // last successful connect), so the redial starts immediately and the
-  // backoff escalates only across consecutive failures.
+  if (healthy) {
+    upstream_redial_->link_dropped();
+  } else {
+    upstream_redial_->dial_failed(Clock::now());
+  }
 }
 
 void FleetCoordinator::standby_timers(Clock::time_point now) {
-  if (upstream_fd_ >= 0 &&
-      now - upstream_last_rx_ >
-          to_duration(config_.replication_timeout_s)) {
-    drop_upstream(now);  // silent link: the primary is wedged or gone
+  if (upstream_ != nullptr &&
+      now - upstream_last_rx_ > to_duration(kReplicationTimeoutS)) {
+    // Silent link: the primary is wedged or gone.
+    drop_upstream(/*healthy=*/true);
   }
-  if (upstream_fd_ < 0 && synced_ &&
-      now - upstream_last_rx_ >= to_duration(config_.promote_after_s)) {
+  if (upstream_ == nullptr && synced_ &&
+      now - upstream_last_rx_ >= to_duration(kPromoteAfterS)) {
     promote(now);
   }
 }
@@ -1230,9 +1118,8 @@ void FleetCoordinator::promote(Clock::time_point now) {
   rebalance_hold_until_ =
       now + to_duration(config_.lease_ttl_ms / 1000.0);
   next_replica_heartbeat_ = now;
-  if (upstream_fd_ >= 0) {
-    ::close(upstream_fd_);
-    upstream_fd_ = -1;
+  if (upstream_ != nullptr) {
+    close_connection(*upstream_);
   }
 }
 

@@ -24,12 +24,14 @@
 //
 // High availability: a second FleetCoordinator started with
 // `standby_of = "host:port"` runs as a replicated STANDBY — it dials the
-// primary, attaches as a replication tail (kStandbyHello), mirrors the
+// primary (an ordinary connection of its io loop, redialed on the shared
+// RedialSchedule), attaches as a replication tail (kStandbyHello), mirrors the
 // full coordinator state (one kReplicaSnapshot, then incremental
 // kReplicaEvents: catalog joins/leaves, lease grants/renewals/releases,
 // committed per-cell totals, rebased history rows), and answers any
 // worker that dials it early with kNotPrimary.  When the primary dies
-// (EOF on the replication link, or replication silence), the standby
+// (EOF on the replication link, or kReplicationTimeoutS of replication
+// silence, then kPromoteAfterS without a primary), the standby
 // PROMOTES: it bumps the epoch (a monotonically increasing term carried
 // on every lease, heartbeat and report), restarts every mirrored lease's
 // TTL clock and waits for the healthy workers to reconnect — their
@@ -49,14 +51,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "dist/catalog.h"
 #include "dist/lease.h"
+#include "net/socket_io.h"
 #include "net/wire.h"
 #include "store/history_store.h"
 
@@ -82,11 +85,6 @@ enum class CoordinatorRole : std::uint8_t {
 
 const char* to_string(CoordinatorRole role);
 
-/// Split "host:port" (host may be empty for the default 127.0.0.1).
-/// False on a missing/invalid port.
-bool parse_host_port(const std::string& endpoint, std::string& host,
-                     std::uint16_t& port);
-
 struct CoordinatorConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (see port())
@@ -96,22 +94,9 @@ struct CoordinatorConfig {
   /// Non-empty ("host:port") -> start as a replicated standby tailing
   /// that primary.  A standby needs no `cells` of its own: the snapshot
   /// replicates the specs (and seeds), so the promoted standby grants
-  /// byte-identical cell streams.
+  /// byte-identical cell streams.  A primary starts at epoch 1; a
+  /// promoted standby uses replicated_epoch + 1.
   std::string standby_of;
-  /// First primary term.  A promoted standby uses replicated_epoch + 1.
-  std::uint64_t initial_epoch = 1;
-  /// Primary -> replica keepalive period (lets the standby tell a wedged
-  /// primary from an idle one).
-  double replication_heartbeat_s = 0.05;
-  /// Standby: no replication traffic for this long -> the link is dead.
-  double replication_timeout_s = 0.6;
-  /// Standby: how long the primary must stay unreachable (after a synced
-  /// tail) before promotion.  Guards against promoting on a transient
-  /// replication-link blip while the primary is still serving workers.
-  double promote_after_s = 0.3;
-  // Standby upstream redial backoff (jittered like every other path).
-  double standby_backoff_initial_s = 0.05;
-  double standby_backoff_max_s = 0.5;
 
   std::uint32_t lease_ttl_ms = 1500;
   /// A worker silent for this long is dead (heartbeats are expected every
@@ -124,7 +109,6 @@ struct CoordinatorConfig {
   /// fleet converges toward an even split.
   bool rebalance_on_join = true;
 
-  std::size_t max_workers = 64;
   HistoryStoreConfig store;  ///< retention of the embedded history store
 };
 
@@ -211,13 +195,14 @@ class FleetCoordinator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One accepted connection (worker, replica tail, or not-yet-greeted
-  /// peer).
+  /// One connection: accepted (worker, replica tail, or not-yet-greeted
+  /// peer) or, on a standby, dialed (the replication link upstream).
   struct Connection {
     int fd = -1;
     FrameParser parser;
     std::uint64_t worker_id = 0;  ///< 0 until kWorkerHello registers it
     bool is_replica = false;      ///< attached with kStandbyHello
+    bool is_upstream = false;     ///< our link to the primary (standby)
   };
 
   /// Per-cell aggregation state: committed totals from ended leases plus
@@ -246,14 +231,20 @@ class FleetCoordinator {
 
   void io_loop();
   void handle_accept();
-  void read_connection(Connection& conn);
+  void read_connection(Connection& conn, Clock::time_point now);
   void handle_frame(Connection& conn, const Frame& frame);
+  /// Decode `frame` as the payload `handler` takes and call it; a payload
+  /// that does not decode is dropped.
+  template <class T>
+  void on(Connection& conn, const Frame& frame,
+          void (FleetCoordinator::*handler)(Connection&, const T&));
   void handle_worker_hello(Connection& conn, const WorkerHello& hello);
   /// Answer a hello with kNotPrimary (we are a standby or deposed) and
   /// hang up.
   void reply_not_primary(Connection& conn);
   void handle_lease_ack(Connection& conn, const LeaseAck& ack);
   void handle_heartbeat(Connection& conn, const WorkerHeartbeat& hb);
+  void handle_report_batch(Connection& conn, const CellReportBatch& batch);
   void handle_cell_report(Connection& conn, const CellReport& report);
   void handle_prediction(Connection& conn, const PredictionSet& set);
   /// Timers: dead-worker scan, lease expiry, assignment of unassigned
@@ -266,24 +257,29 @@ class FleetCoordinator {
   /// event's epoch is stamped here).  A failed send drops that tail; the
   /// standby redials and re-snapshots.
   void replicate(ReplicaEvent event);
+  /// Send to every replica tail, dropping any whose send fails; returns
+  /// how many it reached.
+  std::size_t send_to_replicas(const std::vector<std::uint8_t>& bytes);
   [[nodiscard]] ReplicaSnapshot build_snapshot() const;
   /// We saw a frame from a higher epoch: a promoted standby owns the
   /// fleet now.  Stop granting, answer hellos with kNotPrimary.
   void fence_self(std::uint64_t seen_epoch);
 
   // -- Replication: standby side --
-  /// Dial the primary when the upstream link is down and the (jittered)
-  /// backoff has elapsed.  Called on the io thread with the state lock
-  /// NOT held — connect() blocks.
+  /// Dial the primary when the upstream link is down and the redial
+  /// schedule says so.  Called on the io thread with the state lock NOT
+  /// held — connect() blocks.
   void maybe_connect_upstream();
-  void read_upstream();
   void handle_replication_frame(const Frame& frame);
   void apply_snapshot(const ReplicaSnapshot& snapshot,
                       Clock::time_point now);
   void apply_event(const ReplicaEvent& event, Clock::time_point now);
   void apply_store_rows(std::uint32_t cell_index,
                         const std::vector<StoreRowUpdate>& rows);
-  void drop_upstream(Clock::time_point now);
+  /// Close the replication link.  `healthy` links (EOF, silence) redial
+  /// at once; a peer that answered wrongly (kNotPrimary, garbage) counts
+  /// as a failed dial and backs off.
+  void drop_upstream(bool healthy);
   /// Standby timers: replication-silence detection and promotion.
   void standby_timers(Clock::time_point now);
   /// Take over the fleet: bump the epoch, restart lease TTL and catalog
@@ -338,15 +334,12 @@ class FleetCoordinator {
   bool synced_ = false;           ///< standby: snapshot applied
   std::uint64_t promotions_ = 0;
   std::uint64_t reconfirmations_ = 0;
-  /// Replication link to the primary (standby only; io thread owns it).
-  int upstream_fd_ = -1;
-  FrameParser upstream_parser_;
+  /// Replication link to the primary: an entry of connections_, or null
+  /// (standby only; io thread owns it).
+  Connection* upstream_ = nullptr;
   Clock::time_point upstream_last_rx_{};
-  Clock::time_point upstream_retry_at_{};
-  unsigned upstream_attempts_ = 0;
-  std::string upstream_host_;
-  std::uint16_t upstream_port_ = 0;
-  Rng jitter_rng_{1};
+  /// Standby only: when to dial the primary again.
+  std::optional<RedialSchedule> upstream_redial_;
   /// Post-promotion grace: no join-triggered rebalancing until here, so
   /// reconnecting workers re-confirm their leases undisturbed.
   Clock::time_point rebalance_hold_until_{};

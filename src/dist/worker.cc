@@ -1,23 +1,14 @@
 #include "dist/worker.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <utility>
 
 #include "analysis/prediction_sink.h"
-#include "common/backoff.h"
-#include "dist/coordinator.h"  // parse_host_port
 #include "gnb/presets.h"
-#include "net/socket_io.h"
 #include "nr/dci.h"
 #include "store/history_store.h"
 
@@ -25,38 +16,51 @@ namespace nrs {
 
 namespace {
 
-/// Resolve a coordinator-chosen preset name to its CellConfig.  Returns
-/// false (and leaves `out` untouched) for a name this build does not know
-/// — the lease is refused with a structured reason instead of crashing.
-bool find_cell_preset(const std::string& name, CellConfig& out) {
-  if (name == "srsran") {
-    out = srsran_cell();
-  } else if (name == "mosolab") {
-    out = mosolab_cell();
-  } else if (name == "amarisoft") {
-    out = amarisoft_cell();
-  } else if (name == "tmobile1") {
-    out = tmobile_cell1();
-  } else if (name == "tmobile2") {
-    out = tmobile_cell2();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::chrono::steady_clock::duration secs(double s) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(s));
 }
 
-std::uint64_t derive_jitter_seed(const void* self) {
-  return reinterpret_cast<std::uintptr_t>(self) ^
-         static_cast<std::uint64_t>(
-             std::chrono::steady_clock::now().time_since_epoch().count());
+/// The configured coordinator list, or host/port as the single endpoint.
+std::vector<TcpEndpoint> coordinator_endpoints(const WorkerConfig& config) {
+  std::vector<TcpEndpoint> endpoints;
+  for (const std::string& text : config.coordinators) {
+    if (auto endpoint = parse_endpoint(text)) {
+      endpoints.push_back(std::move(*endpoint));
+    }
+  }
+  if (endpoints.empty()) {
+    endpoints.push_back({config.host, config.port});
+  }
+  return endpoints;
 }
 
 }  // namespace
+
+std::size_t shed_rows_to_fit(CellReportBatch& batch, std::size_t max_bytes) {
+  const std::size_t row_bytes = wire_size(StoreRowUpdate{});
+  std::size_t frame_bytes = kWireHeaderSize + wire_size(batch);
+  while (frame_bytes > max_bytes) {
+    CellReport* largest = nullptr;
+    for (CellReport& report : batch.reports) {
+      if (!report.rows.empty() &&
+          (largest == nullptr || report.rows.size() > largest->rows.size())) {
+        largest = &report;
+      }
+    }
+    if (largest == nullptr) {
+      break;  // nothing left to shed; send the structural minimum
+    }
+    const std::size_t excess = frame_bytes - max_bytes;
+    const std::size_t drop =
+        std::min(largest->rows.size(), excess / row_bytes + 1);
+    largest->rows.erase(largest->rows.begin(),
+                        largest->rows.begin() +
+                            static_cast<std::ptrdiff_t>(drop));
+    frame_bytes -= drop * row_bytes;
+  }
+  return frame_bytes;
+}
 
 // Buffers the three cell-level store rows per tracking slot for the next
 // kCellReportBatch.  The slot counter counts EVERY delivered slot
@@ -91,17 +95,10 @@ class FleetWorker::RowCollector : public SlotSink {
                      slot, static_cast<double>(n_prb_ - used)});
   }
 
-  /// Move out up to `max_rows` buffered rows (oldest dropped beyond the
-  /// cap — under backlog the freshest telemetry wins).
-  [[nodiscard]] std::vector<StoreRowUpdate> drain(std::size_t max_rows) {
+  /// Move out every buffered row, oldest first.
+  [[nodiscard]] std::vector<StoreRowUpdate> drain() {
     std::lock_guard lock(mutex_);
-    std::vector<StoreRowUpdate> out;
-    if (rows_.size() > max_rows) {
-      out.assign(rows_.end() - static_cast<std::ptrdiff_t>(max_rows),
-                 rows_.end());
-    } else {
-      out = std::move(rows_);
-    }
+    std::vector<StoreRowUpdate> out = std::move(rows_);
     rows_.clear();
     return out;
   }
@@ -126,7 +123,12 @@ FleetWorker::FleetWorker(WorkerConfig config, MetricsRegistry* registry)
     : config_(std::move(config)),
       own_registry_(registry == nullptr ? std::make_unique<MetricsRegistry>()
                                         : nullptr),
-      registry_(registry != nullptr ? registry : own_registry_.get()) {
+      registry_(registry != nullptr ? registry : own_registry_.get()),
+      redial_(coordinator_endpoints(config_),
+              BackoffPolicy{config_.reconnect_backoff_s,
+                            std::max(kReconnectBackoffMaxS,
+                                     config_.reconnect_backoff_s)},
+              config_.backoff_seed, config_.max_reconnect_attempts) {
   m_leases_accepted_ = &registry_->counter("dist.worker.leases_accepted");
   m_leases_refused_ = &registry_->counter("dist.worker.leases_refused");
   m_revokes_ = &registry_->counter("dist.worker.revokes");
@@ -141,16 +143,6 @@ FleetWorker::FleetWorker(WorkerConfig config, MetricsRegistry* registry)
       &registry_->counter("dist.worker.stale_epoch_rejected");
   m_not_primary_rx_ = &registry_->counter("dist.worker.not_primary_rx");
   m_cells_ = &registry_->gauge("dist.worker.cells");
-  for (const std::string& endpoint : config_.coordinators) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (parse_host_port(endpoint, host, port)) {
-      endpoints_.emplace_back(std::move(host), port);
-    }
-  }
-  if (endpoints_.empty()) {
-    endpoints_.emplace_back(config_.host, config_.port);
-  }
   if (config_.enable_prediction) {
     PredictorWeights weights =
         PredictorWeights::baseline(config_.prediction_horizon_slots);
@@ -229,44 +221,24 @@ void FleetWorker::teardown_orchestrator() {
 }
 
 bool FleetWorker::connect_once() {
-  const auto& [host, port] = endpoints_[endpoint_index_];
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return false;
+  const TcpEndpoint& target = redial_.endpoint();
+  const int fd = dial_tcp(target.host, target.port);
+  if (fd >= 0) {
+    fd_.store(fd);
+    parser_ = FrameParser{};
+    WorkerHello hello;
+    hello.name = config_.name;
+    hello.capacity = config_.capacity;
+    hello.pool_threads = config_.pool_threads;
+    hello.epoch = epoch_.load();
+    if (send_frame(frame(hello))) {
+      redial_.dial_succeeded();
+      connected_.store(true);
+      return true;
+    }
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    rotate_coordinator();  // dead endpoint: try the next candidate
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
-
-  fd_.store(fd);
-  parser_ = std::make_unique<FrameParser>();
-  WorkerHello hello;
-  hello.name = config_.name;
-  hello.capacity = config_.capacity;
-  hello.pool_threads = config_.pool_threads;
-  hello.epoch = epoch_.load();
-  if (!send_frame(frame(hello))) {
-    disconnect();
-    return false;
-  }
-  connected_.store(true);
-  return true;
-}
-
-void FleetWorker::rotate_coordinator() {
-  endpoint_index_ = (endpoint_index_ + 1) % endpoints_.size();
+  redial_.dial_failed(Clock::now());  // try the next candidate later
+  return false;
 }
 
 void FleetWorker::disconnect() {
@@ -274,57 +246,42 @@ void FleetWorker::disconnect() {
   if (fd >= 0) {
     ::close(fd);
   }
-  const bool was_connected = connected_.exchange(false);
-  parser_.reset();
-  if (was_connected) {
+  if (connected_.exchange(false)) {
     // The coordinator may have failed over: try the next candidate first.
     // Leased cells KEEP RUNNING on their local lease TTLs — if we reach
     // the new primary before they lapse, the leases are re-confirmed and
     // the cells never notice the failover.
-    rotate_coordinator();
+    redial_.link_dropped();
   }
 }
 
 bool FleetWorker::send_frame(const std::vector<std::uint8_t>& frame) {
   const int fd = fd_.load();
-  if (fd < 0) {
-    return false;
+  // A torn frame (kPartial) poisons the stream as surely as a failure.
+  if (fd >= 0 && send_all(fd, frame.data(), frame.size())) {
+    return true;
   }
-  // kPartial (short write on the SO_SNDTIMEO-bounded socket) leaves a
-  // torn frame: the stream is poisoned, treat it as a hard failure.
-  return send_exact(fd, frame.data(), frame.size()) == SendResult::kOk;
+  disconnect();
+  return false;
 }
 
 void FleetWorker::drain_socket() {
-  const int fd = fd_.load();
-  if (fd < 0) {
-    return;
-  }
-  std::uint8_t buf[65536];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser_->feed({buf, static_cast<std::size_t>(n)});
-      while (auto frame = parser_->next()) {
-        handle_frame(*frame);
-        if (fd_.load() < 0) {
-          return;
-        }
-      }
-      if (parser_->error()) {
-        disconnect();
-        return;
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+  // Read until the socket has nothing more (or a handler hung up).
+  for (int fd = fd_.load(); fd >= 0; fd = fd_.load()) {
+    const ReadResult result = read_frames(
+        fd, parser_,
+        [this](const Frame& frame) {
+          handle_frame(frame);
+          return fd_.load() >= 0;
+        },
+        MSG_DONTWAIT);
+    if (result.status != ReadStatus::kOpen) {
+      disconnect();  // EOF, hard error or garbage: coordinator is gone
       return;
     }
-    if (n < 0 && errno == EINTR) {
-      continue;
+    if (result.bytes == 0) {
+      return;
     }
-    disconnect();  // EOF or hard error: coordinator is gone
-    return;
   }
 }
 
@@ -419,19 +376,17 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     ack.accepted = false;
     ack.message = "over capacity";
     m_leases_refused_->inc();
-    if (!send_frame(frame(ack))) {
-      disconnect();
-    }
+    send_frame(frame(ack));
     return;
   }
   FleetCellSpec spec;
-  if (!find_cell_preset(grant.spec.preset, spec.cell)) {
+  if (auto cell = cell_preset(grant.spec.preset)) {
+    spec.cell = *cell;
+  } else {
     ack.accepted = false;
     ack.message = "unknown preset '" + grant.spec.preset + "'";
     m_leases_refused_->inc();
-    if (!send_frame(frame(ack))) {
-      disconnect();
-    }
+    send_frame(frame(ack));
     return;
   }
   if (grant.spec.pci != 0) {
@@ -480,9 +435,7 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   m_leases_accepted_->inc();
 
   ack.accepted = true;
-  if (!send_frame(frame(ack))) {
-    disconnect();
-  }
+  send_frame(frame(ack));
 }
 
 void FleetWorker::handle_revoke(const LeaseRevoke& revoke) {
@@ -542,8 +495,6 @@ void FleetWorker::send_heartbeat() {
   }
   if (send_frame(frame(hb))) {
     m_heartbeats_->inc();
-  } else {
-    disconnect();
   }
 }
 
@@ -578,39 +529,17 @@ void FleetWorker::send_reports() {
     report.retx_rate = cell.retx_rate;
     report.utilization = cell.utilization;
     report.spare_prb_rate = cell.spare_prb_rate;
-    report.rows = lease.collector->drain(config_.max_rows_per_report);
+    report.rows = lease.collector->drain();
     batch.reports.push_back(std::move(report));
   }
   if (batch.reports.empty()) {
     return;
   }
-  // WAN bound: shed oldest rows (largest report first) until the encoded
-  // frame fits max_report_bytes.  Fresh rows and the scalar telemetry
-  // always survive — only history backlog is thinned.
-  const std::size_t row_bytes = wire_size(StoreRowUpdate{});
-  std::size_t frame_bytes = kWireHeaderSize + wire_size(batch);
-  while (frame_bytes > config_.max_report_bytes) {
-    CellReport* largest = nullptr;
-    for (CellReport& report : batch.reports) {
-      if (!report.rows.empty() &&
-          (largest == nullptr || report.rows.size() > largest->rows.size())) {
-        largest = &report;
-      }
-    }
-    if (largest == nullptr) {
-      break;  // nothing left to shed; send the structural minimum
-    }
-    const std::size_t excess = frame_bytes - config_.max_report_bytes;
-    const std::size_t drop =
-        std::min(largest->rows.size(), excess / row_bytes + 1);
-    largest->rows.erase(largest->rows.begin(),
-                        largest->rows.begin() +
-                            static_cast<std::ptrdiff_t>(drop));
-    frame_bytes -= drop * row_bytes;
-  }
+  // WAN bound: only history backlog is thinned, never scalar telemetry.
+  const std::size_t frame_bytes =
+      shed_rows_to_fit(batch, config_.max_report_bytes);
   const std::size_t n_reports = batch.reports.size();
   if (!send_frame(frame(batch))) {
-    disconnect();
     return;
   }
   m_report_batches_->inc();
@@ -633,7 +562,6 @@ void FleetWorker::send_reports() {
       lease.prediction_buffer->fresh = false;
     }
     if (!send_frame(frame(set))) {
-      disconnect();
       return;
     }
     m_predictions_sent_->inc();
@@ -642,35 +570,17 @@ void FleetWorker::send_reports() {
 
 void FleetWorker::run() {
   setup_orchestrator();
-  const BackoffPolicy policy{config_.reconnect_backoff_s,
-                             std::max(config_.reconnect_backoff_max_s,
-                                      config_.reconnect_backoff_s),
-                             2.0, config_.backoff_jitter};
-  Rng jitter_rng(config_.backoff_seed != 0 ? config_.backoff_seed
-                                           : derive_jitter_seed(this));
-  int failed_connects = 0;
-  unsigned consecutive_failures = 0;
-  auto next_connect = Clock::now();
   auto next_heartbeat = Clock::now();
   auto next_report = Clock::now();
   while (!stop_.load()) {
-    if (fd_.load() < 0 && Clock::now() >= next_connect) {
-      if (config_.max_reconnect_attempts >= 0 &&
-          failed_connects > config_.max_reconnect_attempts) {
+    if (fd_.load() < 0 && redial_.due(Clock::now())) {
+      if (redial_.exhausted()) {
         break;
       }
       if (connect_once()) {
-        failed_connects = 0;
-        consecutive_failures = 0;
         m_reconnects_->inc();
         next_heartbeat = Clock::now();
         next_report = Clock::now() + secs(config_.report_period_s);
-      } else {
-        ++failed_connects;
-        const double delay =
-            jittered_backoff_delay(policy, consecutive_failures, jitter_rng);
-        ++consecutive_failures;
-        next_connect = Clock::now() + secs(delay);
       }
     }
 

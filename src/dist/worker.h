@@ -50,6 +50,7 @@
 #include "analysis/predictor.h"
 #include "common/metrics.h"
 #include "fleet/fleet.h"
+#include "net/socket_io.h"
 #include "net/wire.h"
 #include "nrscope/slot_sink.h"
 
@@ -73,28 +74,22 @@ struct WorkerConfig {
 
   double heartbeat_period_s = 0.1;
   double report_period_s = 0.25;
-  /// Initial wait between reconnect attempts after the connection drops;
+  /// Initial wait between reconnect attempts after a failed dial;
   /// consecutive failures escalate exponentially up to
-  /// reconnect_backoff_max_s, and every delay is jittered (see
-  /// backoff_jitter) so a fleet-wide failover does not stampede the new
-  /// primary.
+  /// kReconnectBackoffMaxS, and every delay is drawn uniformly from
+  /// [base / 2, base] so a fleet-wide failover does not stampede the new
+  /// primary (RedialSchedule).
   double reconnect_backoff_s = 0.2;
-  double reconnect_backoff_max_s = 2.0;
-  /// Jitter fraction in [0, 1]: each reconnect delay is drawn uniformly
-  /// from [base * (1 - jitter), base].
-  double backoff_jitter = 0.5;
   /// Jitter RNG seed (0 = derive one per worker instance).
   std::uint64_t backoff_seed = 0;
   /// Consecutive failed connect attempts before giving up (-1 = retry
   /// forever).
   int max_reconnect_attempts = -1;
-  /// Cap on forwarded store rows per cell report (excess rows are dropped
-  /// oldest-first; the cap bounds frame size under backlog).
-  std::size_t max_rows_per_report = 4096;
   /// Upper bound on one report interval's batched frame, in encoded wire
   /// bytes.  Oldest rows are shed (freshest telemetry wins) until the
-  /// frame fits — the WAN-link knob; `dist.worker.report_bytes` counts
-  /// what is actually sent.
+  /// frame fits (shed_rows_to_fit) — the WAN-link knob, and the only
+  /// bound on report size; `dist.worker.report_bytes` counts what is
+  /// actually sent.
   std::size_t max_report_bytes = 256 * 1024;
 
   /// Run the online throughput predictor on every leased cell and forward
@@ -110,6 +105,16 @@ struct WorkerConfig {
   /// loaded weights file carries its own horizon).
   std::uint64_t prediction_horizon_slots = 200;
 };
+
+/// Reconnect backoff ceiling of every FleetWorker.
+inline constexpr double kReconnectBackoffMaxS = 2.0;
+
+/// Shed the oldest store rows of `batch` — always from the report holding
+/// the most rows — until its frame (header included) fits `max_bytes`.
+/// Scalar telemetry is never touched: when every row is gone the
+/// structural minimum is kept even if it exceeds the bound.  Returns the
+/// frame size after shedding.
+std::size_t shed_rows_to_fit(CellReportBatch& batch, std::size_t max_bytes);
 
 class FleetWorker {
  public:
@@ -183,7 +188,6 @@ class FleetWorker {
   /// Close the link (keeping leased cells running on their TTLs) and
   /// advance to the next coordinator candidate.
   void disconnect();
-  void rotate_coordinator();
   void drain_socket();
   void handle_frame(const Frame& frame);
   void handle_lease(const LeaseGrant& grant);
@@ -193,6 +197,7 @@ class FleetWorker {
   void expire_leases(Clock::time_point now);
   void send_heartbeat();
   void send_reports();
+  /// Send one frame; a failed (or torn) send also disconnects.
   bool send_frame(const std::vector<std::uint8_t>& frame);
 
   WorkerConfig config_;
@@ -210,13 +215,11 @@ class FleetWorker {
   std::atomic<std::uint64_t> stale_epoch_rejected_{0};
   std::thread thread_;
 
-  /// Resolved coordinator candidates (host, port), dialed round-robin.
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints_;
-  std::size_t endpoint_index_ = 0;  ///< run-thread only
-
   // Run-thread state (no locking needed beyond the atomics above).
+  /// Coordinator candidates, dialed round-robin with backoff.
+  RedialSchedule redial_;
   std::unique_ptr<FleetOrchestrator> orch_;
-  std::unique_ptr<FrameParser> parser_;
+  FrameParser parser_;
   std::map<std::uint64_t, HeldLease> leases_;  ///< by lease_id
   std::map<std::uint32_t, std::shared_ptr<RowCollector>>
       collectors_;  ///< by orchestrator-local index

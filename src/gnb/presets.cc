@@ -77,4 +77,13 @@ CellConfig tmobile_cell2() {
   return cell;
 }
 
+std::optional<CellConfig> cell_preset(std::string_view name) {
+  if (name == "srsran") return srsran_cell();
+  if (name == "mosolab") return mosolab_cell();
+  if (name == "amarisoft") return amarisoft_cell();
+  if (name == "tmobile1") return tmobile_cell1();
+  if (name == "tmobile2") return tmobile_cell2();
+  return std::nullopt;
+}
+
 }  // namespace nrs

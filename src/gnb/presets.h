@@ -6,6 +6,9 @@
 //   [T-Mobile cell 2] band n71, FDD,  622.85 MHz, 15 kHz SCS, 15 MHz
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "nr/cell_config.h"
 
 namespace nrs {
@@ -15,5 +18,9 @@ CellConfig mosolab_cell();
 CellConfig amarisoft_cell();
 CellConfig tmobile_cell1();
 CellConfig tmobile_cell2();
+
+/// The preset named srsran, mosolab, amarisoft, tmobile1 or tmobile2;
+/// nullopt for any other name.
+std::optional<CellConfig> cell_preset(std::string_view name);
 
 }  // namespace nrs

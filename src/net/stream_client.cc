@@ -1,33 +1,19 @@
 #include "net/stream_client.h"
 
-#include "common/backoff.h"
 #include "net/socket_io.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <utility>
 
 namespace nrs {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-/// Per-instance jitter seed when the config leaves it at 0: mix the
-/// object identity with the monotonic clock so identically configured
-/// clients still draw de-correlated backoff schedules.
-std::uint64_t derive_jitter_seed(const void* self) {
-  return reinterpret_cast<std::uintptr_t>(self) ^
-         static_cast<std::uint64_t>(
-             Clock::now().time_since_epoch().count());
-}
-
 }  // namespace
 
 TelemetryStreamClient::TelemetryStreamClient(
@@ -141,61 +127,30 @@ bool TelemetryStreamClient::wait_connected(double timeout_s) {
   return connected_.load();
 }
 
-int TelemetryStreamClient::connect_once() const {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 void TelemetryStreamClient::run() {
-  const BackoffPolicy policy{config_.backoff_initial_s,
-                             config_.backoff_max_s, 2.0,
-                             config_.backoff_jitter};
-  Rng jitter_rng(config_.backoff_seed != 0 ? config_.backoff_seed
-                                           : derive_jitter_seed(this));
-  unsigned consecutive_failures = 0;
-  int failed_attempts = 0;
+  RedialSchedule redial({{config_.host, config_.port}},
+                        BackoffPolicy{config_.backoff_initial_s,
+                                      config_.backoff_max_s},
+                        config_.backoff_seed, config_.max_reconnect_attempts);
   bool first_attempt = true;
   while (!stopping_.load()) {
-    const int fd = connect_once();
+    const int fd = dial_tcp(config_.host, config_.port);
+    const bool first = std::exchange(first_attempt, false);
     if (fd < 0) {
-      ++failed_attempts;
-      if (!first_attempt) {
+      if (!first) {
         m_reconnect_attempts_->inc();
       }
-      first_attempt = false;
-      if (config_.max_reconnect_attempts >= 0 &&
-          failed_attempts > config_.max_reconnect_attempts) {
+      redial.dial_failed(Clock::now());
+      if (redial.exhausted()) {
         break;
       }
-      // Jittered exponential backoff, sliced so stop() stays responsive.
-      const double backoff_s =
-          jittered_backoff_delay(policy, consecutive_failures, jitter_rng);
-      const auto deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(backoff_s));
-      while (!stopping_.load() && Clock::now() < deadline) {
+      // Sliced so stop() stays responsive.
+      while (!stopping_.load() && !redial.due(Clock::now())) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
-      ++consecutive_failures;
       continue;
     }
-    failed_attempts = 0;
-    first_attempt = false;
-    consecutive_failures = 0;
+    redial.dial_succeeded();
     live_fd_.store(fd);
     connected_.store(true);
     m_connects_->inc();
@@ -227,9 +182,9 @@ void TelemetryStreamClient::run() {
 
 bool TelemetryStreamClient::serve_connection(int fd) {
   FrameParser parser;
-  std::uint8_t buf[16384];
   auto last_frame = Clock::now();
   const auto timeout = std::chrono::duration<double>(config_.read_timeout_s);
+  bool done = false;
   while (!stopping_.load()) {
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
@@ -237,22 +192,23 @@ bool TelemetryStreamClient::serve_connection(int fd) {
       return false;
     }
     if (ready > 0) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        return false;  // peer closed or hard error
+      const ReadResult result =
+          read_frames(fd, parser, [&](const Frame& frame) {
+            last_frame = Clock::now();
+            m_frames_rx_->inc();
+            done = dispatch_frame(frame);
+            return !done;
+          });
+      m_bytes_rx_->inc(result.bytes);
+      if (done) {
+        return true;
       }
-      m_bytes_rx_->inc(static_cast<std::uint64_t>(n));
-      parser.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
-      while (auto frame = parser.next()) {
-        last_frame = Clock::now();
-        m_frames_rx_->inc();
-        if (dispatch_frame(*frame)) {
-          return true;
-        }
-      }
-      if (parser.error()) {
+      if (result.status == ReadStatus::kProtocolError) {
         m_decode_errors_->inc();
         return false;  // protocol mismatch: drop and reconnect
+      }
+      if (result.status == ReadStatus::kClosed) {
+        return false;  // peer closed or hard error
       }
     }
     if (Clock::now() - last_frame > timeout) {

@@ -44,11 +44,9 @@ struct StreamClientConfig {
   double read_timeout_s = 2.0;
   double backoff_initial_s = 0.05;  ///< first reconnect delay
   double backoff_max_s = 1.0;       ///< exponential backoff ceiling
-  /// Multiplicative reconnect jitter in [0, 1]: each delay is drawn
-  /// uniformly from [base * (1 - jitter), base], so many clients losing
-  /// one server together do not redial it in lockstep.  0 disables.
-  double backoff_jitter = 0.5;
-  /// Seed for the jitter draws; 0 derives a per-instance seed so distinct
+  /// Seed for the reconnect jitter (each delay is drawn uniformly from
+  /// [base / 2, base], so many clients losing one server together do not
+  /// redial it in lockstep); 0 derives a per-instance seed so distinct
   /// clients de-correlate even when configured identically.
   std::uint64_t backoff_seed = 0;
   /// Give up after this many consecutive failed connects (-1 = never).
@@ -96,7 +94,9 @@ class TelemetryStreamClient {
   /// Send one query over the live connection and wait for its response.
   /// The request's correlation_id is assigned here (any caller-set value
   /// is overwritten).  Returns nullopt when not connected, when the send
-  /// fails, or when no response arrives within timeout_s (counted in
+  /// fails (it is bounded by kSendTimeoutS, so a wedged server cannot
+  /// block the caller forever), or when no response arrives within
+  /// timeout_s (counted in
   /// net.client.query_timeouts; a response that limps in later is
   /// discarded).  A connection drop while waiting yields a response with
   /// status kUnavailable rather than a silent hang.  Thread-safe: any
@@ -125,7 +125,6 @@ class TelemetryStreamClient {
   void run();
   /// One connection lifetime; returns true when the client should stop.
   bool serve_connection(int fd);
-  [[nodiscard]] int connect_once() const;
   void note_state_change();
 
   /// Route one well-framed inbound frame through the dispatch table;

@@ -2,20 +2,22 @@
 
 #include "net/socket_io.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 
 namespace nrs {
+
+namespace {
+
+/// Connections beyond this are closed on arrival.
+constexpr std::size_t kMaxClients = 64;
+
+}  // namespace
 
 const char* to_string(BackpressurePolicy policy) {
   switch (policy) {
@@ -62,34 +64,10 @@ TelemetryStreamServer::TelemetryStreamServer(
         std::make_unique<WorkerPool>(std::max(1u, config_.query_threads));
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("TelemetryStreamServer: socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    throw std::runtime_error("TelemetryStreamServer: bad bind address " +
-                             config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("TelemetryStreamServer: cannot listen on " +
-                             config_.bind_address + ":" +
-                             std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  const TcpListener listener =
+      listen_tcp(config_.bind_address, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
 
   acceptor_ = std::thread([this] { accept_loop(); });
 }
@@ -115,18 +93,9 @@ void TelemetryStreamServer::stop() {
   }
   std::lock_guard lock(clients_mutex_);
   for (const auto& client : clients_) {
-    client->queue.close();
-    ::shutdown(client->fd, SHUT_RDWR);
+    client->dead.store(true);
   }
-  for (const auto& client : clients_) {
-    if (client->sender.joinable()) {
-      client->sender.join();
-    }
-    ::close(client->fd);
-    m_disconnects_->inc();
-  }
-  clients_.clear();
-  m_clients_->set(0);
+  reap_dead_clients_locked();
 }
 
 std::size_t TelemetryStreamServer::client_count() const {
@@ -178,15 +147,15 @@ void TelemetryStreamServer::accept_loop() {
     if ((pfds[0].revents & POLLIN) == 0) {
       continue;
     }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // No send bound: a slow client's sender thread may block, and its
+    // queue's backpressure policy decides what to shed meanwhile.
+    const int fd = accept_tcp(listen_fd_, /*bound_sends=*/false);
     if (fd < 0) {
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     std::lock_guard lock(clients_mutex_);
-    if (clients_.size() >= config_.max_clients || stopping_.load()) {
+    if (clients_.size() >= kMaxClients || stopping_.load()) {
       ::close(fd);
       continue;
     }
@@ -228,50 +197,39 @@ void TelemetryStreamServer::reap_dead_clients_locked() {
 
 void TelemetryStreamServer::read_client(
     const std::shared_ptr<Client>& client) {
-  std::uint8_t buf[4096];
-  const ssize_t n = ::recv(client->fd, buf, sizeof(buf), 0);
-  if (n <= 0) {
-    if (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                  errno == EWOULDBLOCK)) {
-      return;
-    }
-    client->dead.store(true);  // peer closed (or hard error); reap next round
-    client->queue.close();
+  const ReadResult result =
+      read_frames(client->fd, client->parser, [&](const Frame& frame) {
+        // Clients only speak queries upstream; ignore the rest.
+        if (frame.type == FrameType::kQuery) {
+          if (auto request = decode<QueryRequest>(frame.payload)) {
+            dispatch_query(client, *request);
+          } else {
+            m_query_errors_->inc();
+          }
+        }
+        return true;
+      });
+  if (result.status == ReadStatus::kOpen) {
     return;
   }
-  client->parser.feed({buf, static_cast<std::size_t>(n)});
-  while (auto frame = client->parser.next()) {
-    if (frame->type != FrameType::kQuery) {
-      continue;  // clients only speak queries upstream; ignore the rest
-    }
-    if (auto request = decode<QueryRequest>(frame->payload)) {
-      dispatch_query(client, *request);
-    } else {
-      m_query_errors_->inc();
-    }
+  if (result.rejected_version) {
+    // The peer speaks a protocol version other than ours.  Tell it so
+    // with a structured reject frame (best effort, synchronous — the
+    // send mutex keeps the sender thread from interleaving a frame)
+    // before dropping the connection, so old clients see a clear error
+    // instead of a silent disconnect.
+    m_version_rejects_->inc();
+    const std::vector<std::uint8_t> reply =
+        version_reject_frame(*result.rejected_version);
+    std::lock_guard lock(client->send_mutex);
+    send_all(client->fd, reply.data(), reply.size());
+  } else if (result.status == ReadStatus::kProtocolError) {
+    // Garbage on the request stream: the framing is unrecoverable, so
+    // drop the connection rather than guess at resync.
+    m_query_errors_->inc();
   }
-  if (client->parser.error()) {
-    if (const auto rejected = client->parser.rejected_version()) {
-      // The peer speaks a protocol version other than ours.  Tell it so
-      // with a structured reject frame (best effort, synchronous — the
-      // send mutex keeps the sender thread from interleaving a frame)
-      // before dropping the connection, so old clients see a clear error
-      // instead of a silent disconnect.
-      m_version_rejects_->inc();
-      VersionReject reject;
-      reject.rejected = *rejected;
-      reject.message = client->parser.error_message();
-      const std::vector<std::uint8_t> reply = frame(reject);
-      std::lock_guard lock(client->send_mutex);
-      send_all(client->fd, reply.data(), reply.size());
-    } else {
-      // Garbage on the request stream: the framing is unrecoverable, so
-      // drop the connection rather than guess at resync.
-      m_query_errors_->inc();
-    }
-    client->dead.store(true);
-    client->queue.close();
-  }
+  client->dead.store(true);  // reaped (and closed) next round
+  client->queue.close();
 }
 
 void TelemetryStreamServer::dispatch_query(

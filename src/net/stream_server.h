@@ -58,7 +58,6 @@ struct StreamServerConfig {
   /// Idle keep-alive: a heartbeat frame when nothing was queued for this
   /// long, so clients can tell "quiet cell" from "dead server".
   double heartbeat_period_s = 0.5;
-  std::size_t max_clients = 64;
 
   /// Answers kQuery frames (see src/store's history_query_handler).  Runs
   /// on the query pool threads; must be thread-safe.  When unset, queries
@@ -126,8 +125,8 @@ class TelemetryStreamServer : public SlotSink {
   void enqueue(Client& client, const FramePtr& frame);
   void broadcast(const FramePtr& frame);
   void reap_dead_clients_locked();
-  /// Drain readable bytes from one client socket and dispatch any
-  /// complete request frames (accept/housekeeping thread only).
+  /// One read step on a readable client socket; dispatches any complete
+  /// request frames (accept/housekeeping thread only).
   void read_client(const std::shared_ptr<Client>& client);
   /// Hand one decoded query to the pool; the response frame is enqueued
   /// on the client's send queue when the handler returns.

@@ -136,6 +136,22 @@ std::vector<std::uint8_t> end_frame() {
   return encode_frame(FrameType::kEnd, {});
 }
 
+namespace {
+
+std::string version_mismatch(std::uint16_t version) {
+  return "unsupported protocol version " + std::to_string(version) +
+         " (this peer speaks " + std::to_string(kWireVersion) + ")";
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> version_reject_frame(std::uint16_t rejected) {
+  VersionReject reject;
+  reject.rejected = rejected;
+  reject.message = version_mismatch(rejected);
+  return frame(reject);
+}
+
 void FrameParser::feed(std::span<const std::uint8_t> data) {
   if (!error_.empty()) {
     return;
@@ -168,8 +184,7 @@ std::optional<Frame> FrameParser::next() {
     return std::nullopt;
   }
   if (version != kWireVersion) {
-    error_ = "unsupported protocol version " + std::to_string(version) +
-             " (this peer speaks " + std::to_string(kWireVersion) + ")";
+    error_ = version_mismatch(version);
     rejected_version_ = version;
     return std::nullopt;
   }

@@ -595,6 +595,9 @@ class FrameParser {
 
 std::vector<std::uint8_t> heartbeat_frame();
 std::vector<std::uint8_t> end_frame();
+/// The kUnsupportedVersion answer to a peer whose header announced
+/// `rejected` (FrameParser::rejected_version()).
+std::vector<std::uint8_t> version_reject_frame(std::uint16_t rejected);
 
 // ---- Payload codecs --------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace nrs {
 namespace {
@@ -118,6 +119,36 @@ TEST(WorkerPool, SequentialBatchMatchesParallelExceptionContract) {
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
+}
+
+TEST(WorkerPool, BackToBackBatchesNeverLeakIntoEachOther) {
+  // A worker that joined batch N but was descheduled before claiming an
+  // index must not claim one of batch N+1 and run batch N's (destroyed)
+  // task with it: run_batch returns only once every participant left.
+  // More threads than cores make that deschedule likely; sizes alternate
+  // large/small so a leaked claim shows as an out-of-range index (or, in
+  // the unfixed pool, as a batch whose completion count overshoots and
+  // never returns).  Under the asan preset a stale call is a
+  // use-after-scope.
+  WorkerPool pool(16);
+  std::atomic<int> live_batch{-1};
+  std::atomic<int> foreign_calls{0};
+  for (int b = 0; b < 20000; ++b) {
+    const std::size_t count = b % 2 == 0 ? 9 : 2;
+    std::vector<int> hits(count, 0);
+    live_batch.store(b);
+    pool.run_batch(count, [&, b, count](std::size_t i) {
+      if (b != live_batch.load() || i >= count) {
+        ++foreign_calls;
+        return;
+      }
+      ++hits[i];
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i], 1) << "batch " << b << " index " << i;
+    }
+  }
+  EXPECT_EQ(foreign_calls.load(), 0);
 }
 
 TEST(WorkerPool, DestructorJoinsCleanly) {

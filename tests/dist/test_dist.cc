@@ -14,8 +14,6 @@
 //   by the silence scan (not just the EOF fast path).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -53,6 +51,36 @@ bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return pred();
+}
+
+enum class ReadEnd { kStopped, kClosed, kTimedOut };
+
+/// Non-blocking read steps on `fd`, 2 ms apart when idle, until
+/// `on_frame` returns false, the peer closes, or `timeout_s` passes.
+ReadEnd read_for(int fd, FrameParser& parser, double timeout_s,
+                 const std::function<bool(const Frame&)>& on_frame) {
+  const auto deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(timeout_s));
+  bool stopped = false;
+  const auto until_stopped = [&](const Frame& frame) {
+    stopped = !on_frame(frame);
+    return !stopped;
+  };
+  while (Clock::now() < deadline) {
+    const ReadResult result =
+        read_frames(fd, parser, until_stopped, MSG_DONTWAIT);
+    if (stopped) {
+      return ReadEnd::kStopped;
+    }
+    if (result.status == ReadStatus::kClosed) {
+      return ReadEnd::kClosed;
+    }
+    if (result.bytes == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  return ReadEnd::kTimedOut;
 }
 
 // ---- WorkerCatalog ---------------------------------------------------
@@ -687,14 +715,8 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
   FleetCoordinator coordinator(coordinator_config(1));
   ASSERT_EQ(coordinator.epoch(), 1u);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_tcp("127.0.0.1", coordinator.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(coordinator.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   WorkerHello hello;
   hello.name = "from-the-future";
   hello.epoch = 99;
@@ -706,26 +728,18 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
 
   // The answer on the wire is kNotPrimary, then EOF.
   FrameParser parser;
-  bool saw_not_primary = false;
-  std::uint8_t buf[4096];
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (Clock::now() < deadline) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser.feed({buf, static_cast<std::size_t>(n)});
-      if (const auto got = parser.next();
-          got.has_value() && got->type == FrameType::kNotPrimary) {
-        const auto info = decode<NotPrimary>(got->payload);
-        ASSERT_TRUE(info.has_value());
-        EXPECT_EQ(info->message, "deposed");
-        saw_not_primary = true;
-        break;
-      }
-    } else if (n == 0) {
-      break;
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+  std::optional<NotPrimary> info;
+  const bool saw_not_primary =
+      read_for(fd, parser, 10.0, [&](const Frame& got) {
+        if (got.type != FrameType::kNotPrimary) {
+          return true;
+        }
+        info = decode<NotPrimary>(got.payload);
+        return false;
+      }) == ReadEnd::kStopped;
+  if (saw_not_primary) {
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->message, "deposed");
   }
   EXPECT_TRUE(saw_not_primary);
   ::close(fd);
@@ -738,14 +752,8 @@ TEST(DistE2E, Version3WorkerHelloGetsStructuredReject) {
   // kUnsupportedVersion frame and a hang-up — instead of ignoring it.
   MetricsRegistry registry;
   FleetCoordinator coordinator(coordinator_config(1), &registry);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_tcp("127.0.0.1", coordinator.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(coordinator.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   std::vector<std::uint8_t> payload = encode(WorkerHello{"old", 2});
   payload.resize(payload.size() - 8);  // the v3 layout has no epoch
   std::vector<std::uint8_t> bytes =
@@ -756,24 +764,12 @@ TEST(DistE2E, Version3WorkerHelloGetsStructuredReject) {
 
   FrameParser parser;
   std::optional<VersionReject> reject;
-  bool eof = false;
-  std::uint8_t buf[4096];
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (!eof && Clock::now() < deadline) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser.feed({buf, static_cast<std::size_t>(n)});
-      while (const auto got = parser.next()) {
-        if (got->type == FrameType::kUnsupportedVersion) {
-          reject = decode<VersionReject>(got->payload);
-        }
-      }
-    } else if (n == 0) {
-      eof = true;
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
+  const bool eof = read_for(fd, parser, 10.0, [&](const Frame& got) {
+                     if (got.type == FrameType::kUnsupportedVersion) {
+                       reject = decode<VersionReject>(got.payload);
+                     }
+                     return true;
+                   }) == ReadEnd::kClosed;
   ASSERT_TRUE(reject.has_value()) << "the old worker was never told why";
   EXPECT_EQ(reject->rejected, 3);
   EXPECT_EQ(reject->max_version, kWireVersion);
@@ -784,6 +780,66 @@ TEST(DistE2E, Version3WorkerHelloGetsStructuredReject) {
   coordinator.stop();
 }
 
+// ---- Report shedding ---------------------------------------------------
+
+CellReport report_with_rows(std::uint32_t cell, std::size_t n_rows) {
+  CellReport report;
+  report.cell_index = cell;
+  report.slots = 1000 + cell;
+  report.dcis = 77;
+  report.dl_mbps = 12.5;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    report.rows.push_back({0xFFFD, 0, i, static_cast<double>(i)});
+  }
+  return report;
+}
+
+TEST(ReportShedding, OldestRowsOfTheLargestReportGoFirstAndTheFrameFits) {
+  CellReportBatch batch;
+  batch.reports.push_back(report_with_rows(0, 100));
+  batch.reports.push_back(report_with_rows(1, 400));
+  const std::size_t row_bytes = wire_size(StoreRowUpdate{});
+  const std::size_t bound =
+      kWireHeaderSize + wire_size(batch) - 150 * row_bytes;
+
+  const std::size_t sent = shed_rows_to_fit(batch, bound);
+  EXPECT_EQ(sent, kWireHeaderSize + wire_size(batch));
+  EXPECT_LE(sent, bound);
+  EXPECT_EQ(batch.reports[0].rows.size(), 100u)
+      << "only the largest report is cut when that suffices";
+  const std::vector<StoreRowUpdate>& rows = batch.reports[1].rows;
+  ASSERT_GE(rows.size(), 249u);
+  ASSERT_LE(rows.size(), 250u);
+  EXPECT_EQ(rows.front().slot, 400 - rows.size()) << "oldest rows go first";
+  EXPECT_EQ(rows.back().slot, 399u) << "the freshest row survives";
+}
+
+TEST(ReportShedding, ScalarTelemetryAlwaysSurvives) {
+  CellReportBatch batch;
+  batch.reports.push_back(report_with_rows(0, 50));
+  batch.reports.push_back(report_with_rows(1, 80));
+  const std::size_t sent = shed_rows_to_fit(batch, /*max_bytes=*/1);
+  ASSERT_EQ(batch.reports.size(), 2u);
+  for (std::uint32_t cell = 0; cell < 2; ++cell) {
+    const CellReport& report = batch.reports[cell];
+    EXPECT_TRUE(report.rows.empty());
+    EXPECT_EQ(report.cell_index, cell);
+    EXPECT_EQ(report.slots, 1000u + cell);
+    EXPECT_EQ(report.dcis, 77u);
+    EXPECT_EQ(report.dl_mbps, 12.5);
+  }
+  EXPECT_EQ(sent, kWireHeaderSize + wire_size(batch))
+      << "the structural minimum is sent even above the bound";
+
+  // A batch already inside the bound is left alone.
+  CellReportBatch small;
+  small.reports.push_back(report_with_rows(0, 10));
+  const CellReportBatch before = small;
+  EXPECT_EQ(shed_rows_to_fit(small, 1 << 20),
+            kWireHeaderSize + wire_size(small));
+  EXPECT_EQ(small, before);
+}
+
 // ---- Worker-side epoch fencing (manual fake coordinator) ---------------
 
 /// Minimal scripted coordinator: accepts one worker, hands out whatever
@@ -791,21 +847,9 @@ TEST(DistE2E, Version3WorkerHelloGetsStructuredReject) {
 class FakeCoordinator {
  public:
   FakeCoordinator() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd_, 0);
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    EXPECT_EQ(::listen(listen_fd_, 4), 0);
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
+    const TcpListener listener = listen_tcp("127.0.0.1", 0);
+    listen_fd_ = listener.fd;
+    port_ = listener.port;
   }
   ~FakeCoordinator() {
     if (conn_fd_ >= 0) {
@@ -819,7 +863,7 @@ class FakeCoordinator {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   bool accept_worker() {
-    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    conn_fd_ = accept_tcp(listen_fd_, /*bound_sends=*/true);
     return conn_fd_ >= 0;
   }
 
@@ -830,26 +874,20 @@ class FakeCoordinator {
   /// Blocks (bounded) until one frame of `type` arrives; nullopt on
   /// timeout/EOF.  Other frame types (heartbeats, reports) are skipped.
   std::optional<Frame> read_frame(FrameType type, double timeout_s = 10.0) {
-    const auto deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(timeout_s));
-    while (Clock::now() < deadline) {
-      while (auto frame = parser_.next()) {
-        if (frame->type == type) {
-          return frame;
-        }
-      }
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
-      } else if (n == 0) {
-        return std::nullopt;
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Frames left over from the previous call come first.
+    while (auto frame = parser_.next()) {
+      if (frame->type == type) {
+        return frame;
       }
     }
-    return std::nullopt;
+    std::optional<Frame> found;
+    read_for(conn_fd_, parser_, timeout_s, [&](const Frame& frame) {
+      if (frame.type == type) {
+        found = frame;
+      }
+      return !found;
+    });
+    return found;
   }
 
  private:

@@ -14,9 +14,7 @@
 //     hello carrying the promoted term deposes it on the spot.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -65,17 +63,9 @@ bool wait_until(const std::function<bool()>& pred, double timeout_s) {
 /// Reserve a loopback port: bind to 0, record, close.  The tiny window
 /// before the child rebinds is the standard test-fixture trade-off.
 std::uint16_t pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
+  ::close(listener.fd);
+  return listener.port;
 }
 
 /// One spawned child process (coordinator or worker).  The destructor
@@ -292,17 +282,8 @@ TEST(CoordinatorKill, StandbyPromotesReconfirmsAndFencesTheGhost) {
   const std::uint64_t promoted_epoch = standby.epoch();
   bool fenced = false;
   const auto try_fence = [&]() -> bool {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = dial_tcp("127.0.0.1", primary_port);
     if (fd < 0) {
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(primary_port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd);
       return false;
     }
     WorkerHello hello;
@@ -314,34 +295,32 @@ TEST(CoordinatorKill, StandbyPromotesReconfirmsAndFencesTheGhost) {
       return false;
     }
     FrameParser parser;
-    std::uint8_t buf[4096];
-    const auto deadline = Clock::now() + std::chrono::seconds(5);
-    while (Clock::now() < deadline) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n > 0) {
-        parser.feed({buf, static_cast<std::size_t>(n)});
-        while (const auto got = parser.next()) {
-          if (got->type == FrameType::kNotPrimary) {
-            const auto info = decode<NotPrimary>(got->payload);
-            if (info.has_value() && info->message == "deposed") {
-              fenced = true;
-            }
-            ::close(fd);
-            return true;  // got the verdict either way
-          }
-          if (got->type == FrameType::kLease) {
-            ::close(fd);  // granting means NOT fenced
-            return true;
-          }
+    bool verdict = false;
+    const auto on_frame = [&](const Frame& got) {
+      if (got.type == FrameType::kNotPrimary) {
+        const auto info = decode<NotPrimary>(got.payload);
+        if (info.has_value() && info->message == "deposed") {
+          fenced = true;
         }
-      } else if (n == 0) {
+        verdict = true;  // got the verdict either way
+      } else if (got.type == FrameType::kLease) {
+        verdict = true;  // granting means NOT fenced
+      }
+      return !verdict;
+    };
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (!verdict && Clock::now() < deadline) {
+      const ReadResult result =
+          read_frames(fd, parser, on_frame, MSG_DONTWAIT);
+      if (result.status == ReadStatus::kClosed) {
         break;
-      } else {
+      }
+      if (!verdict && result.bytes == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
     }
     ::close(fd);
-    return false;  // child not up yet (or no answer) — retry
+    return verdict;  // false: child not up yet (or no answer) — retry
   };
   ASSERT_TRUE(wait_until(try_fence, 60.0))
       << "resurrected primary never answered the epoch probe";

@@ -6,8 +6,6 @@
 // disconnect/reconnect.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +22,7 @@
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
 #include "net/stream_client.h"
+#include "net/socket_io.h"
 #include "net/stream_server.h"
 #include "nrscope/log_writer.h"
 #include "nrscope/pipeline.h"
@@ -280,25 +279,17 @@ TEST(Stream, HeartbeatsKeepIdleConnectionAlive) {
 /// hits its bound — exactly the slow-consumer case the policies handle.
 class StuckConsumer {
  public:
-  explicit StuckConsumer(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
+  explicit StuckConsumer(std::uint16_t port)
+      : fd_(dial_tcp("127.0.0.1", port)) {}
   ~StuckConsumer() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
  private:
   int fd_ = -1;
-  bool connected_ = false;
 };
 
 /// Drive `server` until the slow-consumer accounting in `counter_name`
@@ -747,14 +738,9 @@ TEST(StreamQuery, EightClientsQueryWhilePipelineIngests) {
 /// Raw loopback socket speaking an explicit wire version.
 class RawPeer {
  public:
-  explicit RawPeer(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
+  explicit RawPeer(std::uint16_t port) : fd_(dial_tcp("127.0.0.1", port)) {
+    timeval tv{0, 100000};  // 100 ms: bounds each read step
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
   ~RawPeer() {
     if (fd_ >= 0) {
@@ -762,64 +748,57 @@ class RawPeer {
     }
   }
 
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   void send_frame(const std::vector<std::uint8_t>& frame) const {
-    ASSERT_EQ(::send(fd_, frame.data(), frame.size(), 0),
-              static_cast<ssize_t>(frame.size()));
+    ASSERT_TRUE(send_all(fd_, frame.data(), frame.size()));
   }
 
   /// Read frames until `type` arrives (true), EOF, or the deadline.
   bool read_until(FrameType type, Frame& out, double timeout_s = 5.0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_s));
-    std::uint8_t buf[4096];
-    while (std::chrono::steady_clock::now() < deadline) {
-      while (auto frame = parser_.next()) {
-        if (frame->type == type) {
-          out = *frame;
-          return true;
-        }
-      }
-      timeval tv{0, 100000};  // 100 ms
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) {
-        return false;  // server closed on us
-      }
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
-      }
-    }
-    return false;
+    return read(timeout_s, [&](const Frame& frame) {
+             if (frame.type == type) {
+               out = frame;
+               return false;
+             }
+             return true;
+           }) == ReadStatus::kOpen;
   }
 
-  /// True when the server has closed the connection (recv returns 0).
+  /// True when the server has closed the connection.
   bool wait_eof(double timeout_s = 5.0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_s));
-    std::uint8_t buf[4096];
-    while (std::chrono::steady_clock::now() < deadline) {
-      timeval tv{0, 100000};
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) {
-        return true;
-      }
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
-      }
-    }
-    return false;
+    return read(timeout_s, [](const Frame&) { return true; }) ==
+           ReadStatus::kClosed;
   }
 
  private:
+  /// Read steps until `on_frame` says stop (kOpen), the server closes
+  /// (kClosed), or the deadline passes (kProtocolError stands in for it).
+  ReadStatus read(double timeout_s,
+                  const std::function<bool(const Frame&)>& on_frame) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(timeout_s));
+    bool stopped = false;
+    const auto until_stopped = [&](const Frame& frame) {
+      stopped = !on_frame(frame);
+      return !stopped;
+    };
+    while (std::chrono::steady_clock::now() < deadline) {
+      const ReadStatus status =
+          read_frames(fd_, parser_, until_stopped).status;
+      if (stopped) {
+        return ReadStatus::kOpen;
+      }
+      if (status == ReadStatus::kClosed) {
+        return ReadStatus::kClosed;
+      }
+    }
+    return ReadStatus::kProtocolError;
+  }
+
   int fd_ = -1;
-  bool connected_ = false;
   FrameParser parser_;
 };
 
@@ -877,19 +856,8 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
   // Fake "future coordinator": a plain listener that answers any client
   // with kUnsupportedVersion.  The client must surface a clear error and
   // must NOT keep reconnecting (a version mismatch never heals).
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 4), 0);
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
+  const int listen_fd = listener.fd;
 
   std::atomic<int> accepts{0};
   std::atomic<bool> stop{false};
@@ -903,7 +871,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
       if (::select(listen_fd + 1, &readable, nullptr, nullptr, &tv) <= 0) {
         continue;
       }
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = accept_tcp(listen_fd, /*bound_sends=*/true);
       if (fd < 0) {
         continue;
       }
@@ -912,7 +880,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
       reject.rejected = kWireVersion;
       reject.message = "speak version 99";
       const auto bytes = frame(reject);
-      (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      send_all(fd, bytes.data(), bytes.size());
       ::close(fd);
     }
   });
@@ -922,8 +890,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
   handlers.on_protocol_error = [&](const VersionReject&) {
     ++protocol_errors;
   };
-  TelemetryStreamClient client(client_config(ntohs(bound.sin_port)),
-                               handlers);
+  TelemetryStreamClient client(client_config(listener.port), handlers);
   ASSERT_TRUE(wait_until([&] { return protocol_errors.load() >= 1; }));
   EXPECT_FALSE(client.protocol_error().empty());
   EXPECT_NE(client.protocol_error().find("rejected"), std::string::npos);
