@@ -100,21 +100,32 @@ TEST(Crc, DifferentPolynomialsDisagree) {
   EXPECT_FALSE(kCrc24A.check(c));
 }
 
-class CrcLengthTest
-    : public ::testing::TestWithParam<std::pair<const CrcGenerator*, unsigned>> {};
+/// One CRC under test. Printed by name so the generated test names do not
+/// carry the generator's address, which moves from run to run.
+struct CrcCase {
+  const char* name;
+  const CrcGenerator* crc;
+  unsigned length;
+
+  friend void PrintTo(const CrcCase& c, std::ostream* os) {
+    *os << "(" << c.name << ", " << c.length << ")";
+  }
+};
+
+class CrcLengthTest : public ::testing::TestWithParam<CrcCase> {};
 
 TEST_P(CrcLengthTest, LengthsMatch) {
-  EXPECT_EQ(GetParam().first->length(), GetParam().second);
+  EXPECT_EQ(GetParam().crc->length(), GetParam().length);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolys, CrcLengthTest,
-    ::testing::Values(std::make_pair(&kCrc24A, 24u),
-                      std::make_pair(&kCrc24B, 24u),
-                      std::make_pair(&kCrc24C, 24u),
-                      std::make_pair(&kCrc16, 16u),
-                      std::make_pair(&kCrc11, 11u),
-                      std::make_pair(&kCrc6, 6u)));
+    ::testing::Values(CrcCase{"crc24a", &kCrc24A, 24u},
+                      CrcCase{"crc24b", &kCrc24B, 24u},
+                      CrcCase{"crc24c", &kCrc24C, 24u},
+                      CrcCase{"crc16", &kCrc16, 16u},
+                      CrcCase{"crc11", &kCrc11, 11u},
+                      CrcCase{"crc6", &kCrc6, 6u}));
 
 }  // namespace
 }  // namespace nrs

@@ -235,6 +235,12 @@ TEST(Stream, ClientSurvivesFullServerRestart) {
   // Kill the server entirely; the client keeps retrying with backoff.
   server.reset();
   ASSERT_TRUE(wait_until([&] { return !client.connected(); }));
+  // Hold the new server back until a redial has been refused; otherwise
+  // the client's first redial can land on it before any retry is counted.
+  ASSERT_TRUE(wait_until([&] {
+    return client_registry.snapshot().counter_value(
+               "net.client.reconnect_attempts") > 0;
+  }));
 
   // Bring a new server up on the same port; the hello tells the client
   // where the stream resumes.
