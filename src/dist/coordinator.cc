@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/backoff.h"
@@ -89,18 +90,24 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
   }
   records_.reserve(config_.cells.size());
   for (std::uint32_t i = 0; i < config_.cells.size(); ++i) {
-    CellRecord record;
-    record.spec = config_.cells[i];
-    if (record.spec.name.empty()) {
-      record.spec.name = "cell" + std::to_string(i);
-    }
-    record.seed_base = splitmix64(
+    const CoordinatorCellSpec& cell = config_.cells[i];
+    const std::uint64_t seed = splitmix64(
         config_.seed ^ splitmix64((static_cast<std::uint64_t>(i) << 32) |
                                   0x5EEDull));
-    if (record.seed_base == 0) {
-      record.seed_base = 1;  // 0 would disable the worker-side override
-    }
-    records_.push_back(std::move(record));
+    records_.push_back(CellRecord{
+        .spec = WireCellSpec{
+            .cell_index = i,
+            .name = cell.name.empty() ? "cell" + std::to_string(i)
+                                      : cell.name,
+            .preset = cell.preset,
+            .pci = cell.pci,
+            .n_ues = cell.n_ues,
+            .ue_rate_bps = cell.ue_rate_bps,
+            .ue_snr_db = cell.ue_snr_db,
+            .sniffer_snr_db = cell.sniffer_snr_db,
+            // 0 would disable the worker-side override.
+            .seed = std::max<std::uint64_t>(seed, 1),
+        }});
   }
   m_leases_granted_ = &registry_->counter("dist.leases_granted");
   m_leases_expired_ = &registry_->counter("dist.leases_expired");
@@ -254,9 +261,7 @@ void FleetCoordinator::read_connection(Connection& conn,
   const std::uint64_t worker = conn.worker_id;
   close_connection(conn);
   if (worker != 0) {
-    declare_worker_dead(worker, result.status == ReadStatus::kClosed
-                                    ? "socket closed"
-                                    : "protocol error");
+    declare_worker_dead(worker);
   }
 }
 
@@ -283,21 +288,21 @@ void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
   }
 }
 
-template <class T>
+template <class Payload>
 void FleetCoordinator::on(Connection& conn, const Frame& frame,
                           void (FleetCoordinator::*handler)(Connection&,
-                                                            const T&)) {
-  if (auto payload = decode<T>(frame.payload)) {
-    (this->*handler)(conn, *payload);
+                                                            Payload)) {
+  if (auto payload = decode<std::remove_cvref_t<Payload>>(frame.payload)) {
+    (this->*handler)(conn, std::move(*payload));
   }
 }
 
 void FleetCoordinator::handle_report_batch(Connection& conn,
-                                           const CellReportBatch& batch) {
+                                           CellReportBatch batch) {
   // Workers fold all their leases' reports into one frame; each element
   // goes through the same per-report path.
-  for (const CellReport& report : batch.reports) {
-    handle_cell_report(conn, report);
+  for (CellReport& report : batch.reports) {
+    handle_cell_report(conn, std::move(report));
   }
 }
 
@@ -305,7 +310,7 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
                                            const WorkerHello& hello) {
   if (hello.epoch > epoch_) {
     // The worker follows a newer primary: a standby promoted past us.
-    fence_self(hello.epoch);
+    fence_self();
   }
   if (role_ == CoordinatorRole::kStandby || deposed_) {
     reply_not_primary(conn);
@@ -317,8 +322,7 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
   const auto now = Clock::now();
   const std::string name = hello.name.empty() ? "worker" : hello.name;
   const std::uint32_t capacity = std::max<std::uint32_t>(1, hello.capacity);
-  conn.worker_id =
-      catalog_.add(name, capacity, hello.pool_threads, conn.fd, now);
+  conn.worker_id = catalog_.add(name, capacity, conn.fd, now);
   ReplicaEvent event;
   event.kind = ReplicaEventKind::kWorkerJoin;
   event.worker_id = conn.worker_id;
@@ -361,7 +365,7 @@ void FleetCoordinator::handle_standby_hello(Connection& conn,
 void FleetCoordinator::handle_lease_ack(Connection& conn,
                                         const LeaseAck& ack) {
   if (ack.epoch > epoch_) {
-    fence_self(ack.epoch);
+    fence_self();
     return;
   }
   Lease* lease = leases_.by_id(ack.lease_id);
@@ -372,21 +376,11 @@ void FleetCoordinator::handle_lease_ack(Connection& conn,
   const auto now = Clock::now();
   if (!ack.accepted) {
     m_lease_refusals_->inc();
-    if (WorkerEntry* entry = catalog_.find(lease->worker_id)) {
-      entry->cells.erase(lease->cell_index);
-    }
     end_lease(lease->cell_index, /*penalize=*/true, now);
     return;
   }
   leases_.ack(ack.lease_id, true, now);
-  ReplicaEvent event;
-  event.kind = ReplicaEventKind::kLeaseRenew;
-  event.cell_index = lease->cell_index;
-  event.lease_id = lease->lease_id;
-  event.worker_id = lease->worker_id;
-  event.lease_state = static_cast<std::uint8_t>(lease->state);
-  event.handoffs = lease->handoffs;
-  replicate(std::move(event));
+  replicate(cell_event(ReplicaEventKind::kLeaseRenew, lease->cell_index));
 }
 
 void FleetCoordinator::handle_heartbeat(Connection& conn,
@@ -395,7 +389,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
     return;  // heartbeat before hello: not a registered worker
   }
   if (hb.epoch > epoch_) {
-    fence_self(hb.epoch);
+    fence_self();
     return;
   }
   const auto now = Clock::now();
@@ -413,37 +407,23 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
       // its recorded holder is a ghost (no socket).  The worker kept the
       // cell running locally and reconnected here — rebind the same lease
       // to its new registration instead of reassigning the cell.
-      WorkerEntry* holder = catalog_.find(lease->worker_id);
-      const bool ghost =
-          holder == nullptr || !holder->alive || holder->fd < 0;
-      if (!ghost) {
+      const std::uint64_t ghost_id = lease->worker_id;
+      const WorkerEntry* holder = catalog_.find(ghost_id);
+      if (holder != nullptr && holder->alive && holder->fd >= 0) {
         continue;  // live holder elsewhere: a stale claim, ignore it
       }
-      if (holder != nullptr) {
-        holder->cells.erase(lease->cell_index);
-        if (holder->cells.empty()) {
-          const std::uint64_t ghost_id = holder->id;
-          catalog_.remove(ghost_id);
-          ReplicaEvent leave;
-          leave.kind = ReplicaEventKind::kWorkerLeave;
-          leave.worker_id = ghost_id;
-          replicate(std::move(leave));
-        }
-      }
       leases_.rebind(status.lease_id, conn.worker_id);
-      if (WorkerEntry* mine = catalog_.find(conn.worker_id)) {
-        mine->cells.insert(lease->cell_index);
+      if (holder != nullptr && leases_.held_by(ghost_id).empty()) {
+        catalog_.remove(ghost_id);
+        ReplicaEvent leave;
+        leave.kind = ReplicaEventKind::kWorkerLeave;
+        leave.worker_id = ghost_id;
+        replicate(std::move(leave));
       }
       ++reconfirmations_;
       m_reconfirmed_->inc();
-      ReplicaEvent event;
-      event.kind = ReplicaEventKind::kLeaseRenew;
-      event.cell_index = lease->cell_index;
-      event.lease_id = lease->lease_id;
-      event.worker_id = conn.worker_id;
-      event.lease_state = static_cast<std::uint8_t>(lease->state);
-      event.handoffs = lease->handoffs;
-      replicate(std::move(event));
+      replicate(
+          cell_event(ReplicaEventKind::kLeaseRenew, lease->cell_index));
     }
     leases_.renew(status.lease_id, now);
     // Renewal grant: restart the worker-side TTL clock (and teach a
@@ -452,7 +432,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
     LeaseGrant grant;
     grant.lease_id = status.lease_id;
     grant.ttl_ms = config_.lease_ttl_ms;
-    grant.base_slot = records_[lease->cell_index].lease_base_slot;
+    grant.base_slot = records_[lease->cell_index].ledger.lease_base_slot;
     grant.epoch = epoch_;
     grant.spec = wire_spec(lease->cell_index, lease->handoffs);
     send_to_worker(conn.worker_id, frame(grant));
@@ -460,51 +440,38 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
 }
 
 void FleetCoordinator::handle_cell_report(Connection& conn,
-                                          const CellReport& report) {
+                                          CellReport report) {
   if (report.epoch > epoch_) {
-    fence_self(report.epoch);
+    fence_self();
     return;
   }
+  const std::uint32_t cell = report.cell_index;
   Lease* lease = leases_.by_id(report.lease_id);
   if (lease == nullptr || lease->worker_id != conn.worker_id ||
-      lease->cell_index != report.cell_index ||
-      report.cell_index >= records_.size()) {
+      lease->cell_index != cell || cell >= records_.size()) {
     m_stale_reports_->inc();
     return;
   }
-  CellRecord& record = records_[report.cell_index];
-  if (record.has_report && report.slots > record.last.slots) {
-    leases_.note_progress(report.cell_index);
+  CellLedger& ledger = records_[cell].ledger;
+  if (ledger.has_report && report.slots > ledger.live.slots) {
+    leases_.note_progress(cell);
   }
-  record.last = report;
-  record.has_report = true;
+  // The rows go to the store; the ledger keeps the report without them.
+  const std::vector<StoreRowUpdate> rows = std::move(report.rows);
+  ledger.live = std::move(report);
+  ledger.has_report = true;
   const bool mirror = has_replica();
   std::vector<StoreRowUpdate> mirrored_rows;
-  ingest_rows(report.cell_index, record, report,
+  ingest_rows(cell, rows, ledger.lease_base_slot,
               mirror ? &mirrored_rows : nullptr);
   if (mirror) {
-    ReplicaEvent totals;
-    totals.kind = ReplicaEventKind::kCellTotals;
-    totals.cell_index = report.cell_index;
-    totals.lease_id = report.lease_id;
-    totals.worker_id = conn.worker_id;
-    totals.lease_state = static_cast<std::uint8_t>(lease->state);
-    totals.handoffs = lease->handoffs;
-    totals.committed_slots = record.committed_slots;
-    totals.committed_dcis = record.committed_dcis;
-    totals.committed_retx = record.committed_retx;
-    totals.committed_restarts = record.committed_restarts;
-    totals.lease_base_slot = record.lease_base_slot;
-    totals.has_report = true;
-    totals.live = report;
-    totals.live.rows.clear();
-    replicate(std::move(totals));
+    replicate(cell_event(ReplicaEventKind::kCellTotals, cell));
     if (!mirrored_rows.empty()) {
-      ReplicaEvent rows;
-      rows.kind = ReplicaEventKind::kStoreRows;
-      rows.cell_index = report.cell_index;
-      rows.rows = std::move(mirrored_rows);
-      replicate(std::move(rows));
+      ReplicaEvent store_rows;
+      store_rows.kind = ReplicaEventKind::kStoreRows;
+      store_rows.cell_index = cell;
+      store_rows.rows = std::move(mirrored_rows);
+      replicate(std::move(store_rows));
     }
   }
 }
@@ -524,11 +491,13 @@ std::map<std::uint32_t, PredictionSet> FleetCoordinator::predictions() const {
   return predictions_;
 }
 
-void FleetCoordinator::ingest_rows(
-    std::uint32_t cell_index, CellRecord& record, const CellReport& report,
-    std::vector<StoreRowUpdate>* replicated) {
+void FleetCoordinator::ingest_rows(std::uint32_t cell_index,
+                                   const std::vector<StoreRowUpdate>& rows,
+                                   std::uint64_t base_slot,
+                                   std::vector<StoreRowUpdate>* replicated) {
+  auto& cursors = records_[cell_index].cursors;
   std::uint64_t ingested = 0;
-  for (const StoreRowUpdate& row : report.rows) {
+  for (const StoreRowUpdate& row : rows) {
     if (!store_metric_valid(row.metric)) {
       continue;
     }
@@ -536,17 +505,17 @@ void FleetCoordinator::ingest_rows(
     key.cell = cell_index;
     key.rnti = row.rnti;
     key.metric = static_cast<StoreMetric>(row.metric);
-    auto& cursor = record.cursors[key.packed()];
+    auto& cursor = cursors[key.packed()];
     if (cursor.series == nullptr) {
       cursor.series = store_.series(key);
       if (cursor.series == nullptr) {
         continue;  // max_series shedding
       }
     }
-    // Rebase the lease-local slot onto the cell's lifetime axis; clamp
-    // non-decreasing across handoffs (the store's single-writer append
-    // contract).
-    std::uint64_t slot = record.lease_base_slot + row.slot;
+    // Rebase onto the cell's lifetime axis; clamp non-decreasing across
+    // handoffs and replication reconnects (the store's single-writer
+    // append contract).
+    std::uint64_t slot = base_slot + row.slot;
     if (cursor.started && slot < cursor.last_slot) {
       slot = cursor.last_slot;
     }
@@ -575,7 +544,7 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
   // reconnects, releasing the cells for normal reassignment.
   for (const std::uint64_t id :
        catalog_.silent_since(now, config_.heartbeat_timeout_s)) {
-    declare_worker_dead(id, "heartbeat timeout");
+    declare_worker_dead(id);
   }
   if (!deposed_) {
     // Lease-expiry scan: a worker that is alive but stopped listing (or
@@ -584,9 +553,6 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
       const std::uint64_t lease_id = leases_.cell(cell).lease_id;
       const std::uint64_t holder = leases_.cell(cell).worker_id;
       m_leases_expired_->inc();
-      if (WorkerEntry* entry = catalog_.find(holder)) {
-        entry->cells.erase(cell);
-      }
       end_lease(cell, /*penalize=*/true, now);
       m_reassignments_->inc();
       LeaseRevoke revoke;
@@ -611,9 +577,8 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
   m_cells_active_->set(static_cast<std::int64_t>(leases_.active_count()));
 }
 
-void FleetCoordinator::declare_worker_dead(std::uint64_t worker_id,
-                                           const char* /*why*/) {
-  WorkerEntry* entry = catalog_.find(worker_id);
+void FleetCoordinator::declare_worker_dead(std::uint64_t worker_id) {
+  const WorkerEntry* entry = catalog_.find(worker_id);
   if (entry == nullptr || !entry->alive) {
     return;
   }
@@ -625,8 +590,7 @@ void FleetCoordinator::declare_worker_dead(std::uint64_t worker_id,
     }
   }
   const auto now = Clock::now();
-  const std::set<std::uint32_t> cells = entry->cells;
-  for (const std::uint32_t cell : cells) {
+  for (const std::uint32_t cell : leases_.held_by(worker_id)) {
     end_lease(cell, /*penalize=*/true, now);
     m_reassignments_->inc();
   }
@@ -639,59 +603,38 @@ void FleetCoordinator::declare_worker_dead(std::uint64_t worker_id,
 
 void FleetCoordinator::end_lease(std::uint32_t cell_index, bool penalize,
                                  Clock::time_point now) {
-  CellRecord& record = records_[cell_index];
-  if (record.has_report) {
+  CellLedger& ledger = records_[cell_index].ledger;
+  if (ledger.has_report) {
     // Fold the lease's final report into the committed totals: this is
     // what keeps the lifetime view monotonic across the handoff.
-    record.committed_slots += record.last.slots;
-    record.committed_dcis += record.last.dcis;
-    record.committed_retx += record.last.retx_dcis;
-    record.committed_restarts += record.last.restarts;
+    ledger.committed_slots += ledger.live.slots;
+    ledger.committed_dcis += ledger.live.dcis;
+    ledger.committed_retx += ledger.live.retx_dcis;
+    ledger.committed_restarts += ledger.live.restarts;
   }
-  record.last = CellReport{};
-  record.has_report = false;
+  ledger.live = CellReport{};
+  ledger.has_report = false;
   leases_.release(cell_index, penalize, now);
-  ReplicaEvent event;
-  event.kind = ReplicaEventKind::kLeaseRelease;
-  event.cell_index = cell_index;
-  event.lease_state =
-      static_cast<std::uint8_t>(LeaseState::kUnassigned);
-  event.handoffs = leases_.cell(cell_index).handoffs;
-  event.committed_slots = record.committed_slots;
-  event.committed_dcis = record.committed_dcis;
-  event.committed_retx = record.committed_retx;
-  event.committed_restarts = record.committed_restarts;
-  replicate(std::move(event));
+  replicate(cell_event(ReplicaEventKind::kLeaseRelease, cell_index));
 }
 
 void FleetCoordinator::try_assign(std::uint32_t cell_index,
                                   Clock::time_point now) {
-  const auto worker_id = catalog_.pick_least_loaded();
+  const auto worker_id = catalog_.pick_least_loaded(leases_);
   if (!worker_id) {
     return;  // fleet saturated or empty; retry next timer pass
   }
-  WorkerEntry* entry = catalog_.find(*worker_id);
-  Lease& lease = leases_.cell(cell_index);
-  const unsigned incarnation = lease.handoffs;
-  CellRecord& record = records_[cell_index];
-  record.lease_base_slot = record.committed_slots;
+  const unsigned incarnation = leases_.cell(cell_index).handoffs;
+  CellLedger& ledger = records_[cell_index].ledger;
+  ledger.lease_base_slot = ledger.committed_slots;
   const std::uint64_t lease_id =
       leases_.grant(cell_index, *worker_id, now);
-  entry->cells.insert(cell_index);
   m_leases_granted_->inc();
-  ReplicaEvent event;
-  event.kind = ReplicaEventKind::kLeaseGrant;
-  event.cell_index = cell_index;
-  event.lease_id = lease_id;
-  event.worker_id = *worker_id;
-  event.lease_state = static_cast<std::uint8_t>(LeaseState::kPending);
-  event.handoffs = incarnation;
-  event.lease_base_slot = record.lease_base_slot;
-  replicate(std::move(event));
+  replicate(cell_event(ReplicaEventKind::kLeaseGrant, cell_index));
   LeaseGrant grant;
   grant.lease_id = lease_id;
   grant.ttl_ms = config_.lease_ttl_ms;
-  grant.base_slot = record.lease_base_slot;
+  grant.base_slot = ledger.lease_base_slot;
   grant.epoch = epoch_;
   grant.spec = wire_spec(cell_index, incarnation);
   send_to_worker(*worker_id, frame(grant));
@@ -714,20 +657,13 @@ void FleetCoordinator::rebalance(Clock::time_point now) {
     }
   }
   for (const std::uint64_t id : ids) {
-    WorkerEntry* entry = catalog_.find(id);
-    if (entry == nullptr || !entry->alive || entry->load() <= target) {
-      continue;
-    }
-    // Shed highest-index cells first (deterministic choice).
-    std::vector<std::uint32_t> shed(entry->cells.rbegin(),
-                                    entry->cells.rend());
-    shed.resize(entry->load() - target);
-    for (const std::uint32_t cell : shed) {
+    // Shed highest-index cells first (deterministic choice).  A worker
+    // declared dead meanwhile holds nothing any more.
+    const std::vector<std::uint32_t> held = leases_.held_by(id);
+    for (std::size_t n = held.size(); n > target; --n) {
+      const std::uint32_t cell = held[n - 1];
       const std::uint64_t lease_id = leases_.cell(cell).lease_id;
       m_revokes_->inc();
-      if (WorkerEntry* holder = catalog_.find(id)) {
-        holder->cells.erase(cell);
-      }
       end_lease(cell, /*penalize=*/false, now);
       LeaseRevoke revoke;
       revoke.lease_id = lease_id;
@@ -753,23 +689,13 @@ bool FleetCoordinator::send_to_worker(
   if (send_exact(entry->fd, frame.data(), frame.size()) == SendResult::kOk) {
     return true;
   }
-  declare_worker_dead(worker_id, "send failed");
+  declare_worker_dead(worker_id);
   return false;
 }
 
 WireCellSpec FleetCoordinator::wire_spec(std::uint32_t cell_index,
                                          unsigned incarnation) const {
-  const CellRecord& record = records_[cell_index];
-  WireCellSpec spec;
-  spec.cell_index = cell_index;
-  spec.name = record.spec.name;
-  spec.preset = record.spec.preset;
-  spec.pci = record.spec.pci;
-  spec.n_ues = record.spec.n_ues;
-  spec.ue_rate_bps = record.spec.ue_rate_bps;
-  spec.ue_snr_db = record.spec.ue_snr_db;
-  spec.sniffer_snr_db = record.spec.sniffer_snr_db;
-  spec.seed = record.seed_base;
+  WireCellSpec spec = records_[cell_index].spec;
   spec.incarnation = incarnation;
   return spec;
 }
@@ -783,6 +709,20 @@ bool FleetCoordinator::has_replica() const {
     }
   }
   return false;
+}
+
+ReplicaEvent FleetCoordinator::cell_event(ReplicaEventKind kind,
+                                         std::uint32_t cell_index) const {
+  const Lease& lease = leases_.cell(cell_index);
+  ReplicaEvent event;
+  event.kind = kind;
+  event.cell_index = cell_index;
+  event.lease_id = lease.lease_id;
+  event.worker_id = lease.worker_id;
+  event.lease_state = static_cast<std::uint8_t>(lease.state);
+  event.handoffs = lease.handoffs;
+  event.ledger = records_[cell_index].ledger;
+  return event;
 }
 
 void FleetCoordinator::replicate(ReplicaEvent event) {
@@ -823,7 +763,6 @@ ReplicaSnapshot FleetCoordinator::build_snapshot() const {
   }
   snapshot.cells.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellRecord& record = records_[i];
     const Lease& lease = leases_.cell(i);
     ReplicaCell cell;
     cell.spec = wire_spec(i, lease.handoffs);
@@ -831,20 +770,13 @@ ReplicaSnapshot FleetCoordinator::build_snapshot() const {
     cell.lease_id = lease.lease_id;
     cell.worker_id = lease.worker_id;
     cell.handoffs = lease.handoffs;
-    cell.committed_slots = record.committed_slots;
-    cell.committed_dcis = record.committed_dcis;
-    cell.committed_retx = record.committed_retx;
-    cell.committed_restarts = record.committed_restarts;
-    cell.lease_base_slot = record.lease_base_slot;
-    cell.has_report = record.has_report;
-    cell.live = record.last;
-    cell.live.rows.clear();
+    cell.ledger = records_[i].ledger;
     snapshot.cells.push_back(std::move(cell));
   }
   return snapshot;
 }
 
-void FleetCoordinator::fence_self(std::uint64_t /*seen_epoch*/) {
+void FleetCoordinator::fence_self() {
   if (deposed_) {
     return;
   }
@@ -926,31 +858,9 @@ void FleetCoordinator::apply_snapshot(const ReplicaSnapshot& snapshot,
   }
   for (std::uint32_t i = 0; i < snapshot.cells.size(); ++i) {
     const ReplicaCell& cell = snapshot.cells[i];
-    CellRecord record;
-    record.spec.name = cell.spec.name;
-    record.spec.preset = cell.spec.preset;
-    record.spec.pci = cell.spec.pci;
-    record.spec.n_ues = cell.spec.n_ues;
-    record.spec.ue_rate_bps = cell.spec.ue_rate_bps;
-    record.spec.ue_snr_db = cell.spec.ue_snr_db;
-    record.spec.sniffer_snr_db = cell.spec.sniffer_snr_db;
-    record.seed_base = cell.spec.seed;
-    record.committed_slots = cell.committed_slots;
-    record.committed_dcis = cell.committed_dcis;
-    record.committed_retx = cell.committed_retx;
-    record.committed_restarts = cell.committed_restarts;
-    record.lease_base_slot = cell.lease_base_slot;
-    record.last = cell.live;
-    record.has_report = cell.has_report;
-    records_.push_back(std::move(record));
+    records_.push_back(CellRecord{.spec = cell.spec, .ledger = cell.ledger});
     leases_.restore(i, to_lease_state(cell.lease_state), cell.lease_id,
                     cell.worker_id, cell.handoffs, now);
-    if (cell.worker_id != 0 &&
-        to_lease_state(cell.lease_state) != LeaseState::kUnassigned) {
-      if (WorkerEntry* holder = catalog_.find(cell.worker_id)) {
-        holder->cells.insert(i);
-      }
-    }
   }
   leases_.set_next_lease_id(snapshot.next_lease_id);
   if (snapshot.epoch > epoch_) {
@@ -962,6 +872,15 @@ void FleetCoordinator::apply_snapshot(const ReplicaSnapshot& snapshot,
 
 void FleetCoordinator::apply_event(const ReplicaEvent& event,
                                    Clock::time_point now) {
+  if (event.epoch > epoch_) {
+    epoch_ = event.epoch;
+    m_epoch_gauge_->set(static_cast<std::int64_t>(epoch_));
+  }
+  const bool catalog_event = event.kind == ReplicaEventKind::kWorkerJoin ||
+                             event.kind == ReplicaEventKind::kWorkerLeave;
+  if (!catalog_event && event.cell_index >= records_.size()) {
+    return;
+  }
   switch (event.kind) {
     case ReplicaEventKind::kWorkerJoin:
       catalog_.restore(event.worker_id, event.worker_name,
@@ -971,110 +890,18 @@ void FleetCoordinator::apply_event(const ReplicaEvent& event,
       catalog_.remove(event.worker_id);
       break;
     case ReplicaEventKind::kLeaseGrant:
-    case ReplicaEventKind::kLeaseRenew: {
-      if (event.cell_index >= records_.size()) {
-        break;
-      }
-      const std::uint64_t prev = leases_.cell(event.cell_index).worker_id;
-      if (prev != 0 && prev != event.worker_id) {
-        if (WorkerEntry* old_holder = catalog_.find(prev)) {
-          old_holder->cells.erase(event.cell_index);
-        }
-      }
-      const LeaseState state = event.kind == ReplicaEventKind::kLeaseGrant
-                                   ? LeaseState::kPending
-                                   : to_lease_state(event.lease_state);
-      leases_.restore(event.cell_index, state, event.lease_id,
-                      event.worker_id, event.handoffs, now);
+    case ReplicaEventKind::kLeaseRenew:
+    case ReplicaEventKind::kLeaseRelease:
+    case ReplicaEventKind::kCellTotals:
+      leases_.restore(event.cell_index, to_lease_state(event.lease_state),
+                      event.lease_id, event.worker_id, event.handoffs, now);
       leases_.set_next_lease_id(event.lease_id);
-      if (event.kind == ReplicaEventKind::kLeaseGrant) {
-        records_[event.cell_index].lease_base_slot = event.lease_base_slot;
-      }
-      if (WorkerEntry* holder = catalog_.find(event.worker_id)) {
-        holder->cells.insert(event.cell_index);
-      }
+      records_[event.cell_index].ledger = event.ledger;
       break;
-    }
-    case ReplicaEventKind::kLeaseRelease: {
-      if (event.cell_index >= records_.size()) {
-        break;
-      }
-      const std::uint64_t prev = leases_.cell(event.cell_index).worker_id;
-      if (prev != 0) {
-        if (WorkerEntry* old_holder = catalog_.find(prev)) {
-          old_holder->cells.erase(event.cell_index);
-        }
-      }
-      leases_.restore(event.cell_index, LeaseState::kUnassigned, 0, 0,
-                      event.handoffs, now);
-      CellRecord& record = records_[event.cell_index];
-      record.committed_slots = event.committed_slots;
-      record.committed_dcis = event.committed_dcis;
-      record.committed_retx = event.committed_retx;
-      record.committed_restarts = event.committed_restarts;
-      record.last = CellReport{};
-      record.has_report = false;
-      break;
-    }
-    case ReplicaEventKind::kCellTotals: {
-      if (event.cell_index >= records_.size()) {
-        break;
-      }
-      CellRecord& record = records_[event.cell_index];
-      record.committed_slots = event.committed_slots;
-      record.committed_dcis = event.committed_dcis;
-      record.committed_retx = event.committed_retx;
-      record.committed_restarts = event.committed_restarts;
-      record.lease_base_slot = event.lease_base_slot;
-      record.last = event.live;
-      record.has_report = event.has_report;
-      break;
-    }
     case ReplicaEventKind::kStoreRows:
-      apply_store_rows(event.cell_index, event.rows);
+      // Slots arrive already rebased.
+      ingest_rows(event.cell_index, event.rows, 0, nullptr);
       break;
-  }
-  if (event.epoch > epoch_) {
-    epoch_ = event.epoch;
-    m_epoch_gauge_->set(static_cast<std::int64_t>(epoch_));
-  }
-}
-
-void FleetCoordinator::apply_store_rows(
-    std::uint32_t cell_index, const std::vector<StoreRowUpdate>& rows) {
-  if (cell_index >= records_.size()) {
-    return;
-  }
-  CellRecord& record = records_[cell_index];
-  std::uint64_t ingested = 0;
-  for (const StoreRowUpdate& row : rows) {
-    if (!store_metric_valid(row.metric)) {
-      continue;
-    }
-    SeriesKey key;
-    key.cell = cell_index;
-    key.rnti = row.rnti;
-    key.metric = static_cast<StoreMetric>(row.metric);
-    auto& cursor = record.cursors[key.packed()];
-    if (cursor.series == nullptr) {
-      cursor.series = store_.series(key);
-      if (cursor.series == nullptr) {
-        continue;  // max_series shedding
-      }
-    }
-    // Slots arrive already rebased; the clamp only defends against a
-    // cursor reset after a replication reconnect.
-    std::uint64_t slot = row.slot;
-    if (cursor.started && slot < cursor.last_slot) {
-      slot = cursor.last_slot;
-    }
-    cursor.series->append(slot, row.value);
-    cursor.last_slot = slot;
-    cursor.started = true;
-    ++ingested;
-  }
-  if (ingested > 0) {
-    store_.note_rows_ingested(ingested);
   }
 }
 
@@ -1140,7 +967,7 @@ std::vector<DistWorkerStatus> FleetCoordinator::workers() const {
     status.name = entry.name;
     status.capacity = entry.capacity;
     status.alive = entry.alive;
-    status.cells.assign(entry.cells.begin(), entry.cells.end());
+    status.cells = leases_.held_by(id);
     out.push_back(std::move(status));
   }
   return out;
@@ -1151,20 +978,20 @@ std::vector<DistCellStatus> FleetCoordinator::cells() const {
   std::vector<DistCellStatus> out;
   out.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellRecord& record = records_[i];
+    const CellLedger& ledger = records_[i].ledger;
     const Lease& lease = leases_.cell(i);
     DistCellStatus status;
     status.cell_index = i;
-    status.name = record.spec.name;
+    status.name = records_[i].spec.name;
     status.lease_state = lease.state;
     status.lease_id = lease.lease_id;
     status.worker_id = lease.worker_id;
     status.handoffs = lease.handoffs;
-    status.slots = record.committed_slots +
-                   (record.has_report ? record.last.slots : 0);
+    status.slots = ledger.committed_slots +
+                   (ledger.has_report ? ledger.live.slots : 0);
     status.dcis =
-        record.committed_dcis + (record.has_report ? record.last.dcis : 0);
-    status.cell_state = record.has_report ? record.last.cell_state : 1;
+        ledger.committed_dcis + (ledger.has_report ? ledger.live.dcis : 0);
+    status.cell_state = ledger.has_report ? ledger.live.cell_state : 1;
     out.push_back(std::move(status));
   }
   return out;
@@ -1177,33 +1004,32 @@ FleetSummary FleetCoordinator::summary() const {
   spare.reserve(records_.size());
   s.cells.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellRecord& record = records_[i];
+    const CellLedger& ledger = records_[i].ledger;
+    const CellReport& report = ledger.live;
     const Lease& lease = leases_.cell(i);
     const bool live =
-        lease.state == LeaseState::kActive && record.has_report;
+        lease.state == LeaseState::kActive && ledger.has_report;
     CellSummary cs;
     cs.cell_index = i;
-    cs.name = record.spec.name;
+    cs.name = records_[i].spec.name;
     // kBackoff is the honest description of an unassigned cell: down now,
     // the supervisor (here: the lease table) intends to bring it back.
-    cs.state = live ? record.last.cell_state : 1;
-    cs.slots = record.committed_slots +
-               (record.has_report ? record.last.slots : 0);
-    cs.dcis =
-        record.committed_dcis + (record.has_report ? record.last.dcis : 0);
-    cs.restarts = record.committed_restarts + lease.handoffs +
-                  (record.has_report ? record.last.restarts : 0);
-    cs.active_ues = live ? record.last.active_ues : 0;
-    cs.dl_mbps = live ? record.last.dl_mbps : 0.0;
-    cs.ul_mbps = live ? record.last.ul_mbps : 0.0;
-    cs.retx_rate = live ? record.last.retx_rate : 0.0;
-    cs.utilization = live ? record.last.utilization : 0.0;
+    cs.state = live ? report.cell_state : 1;
+    cs.slots = ledger.committed_slots + (ledger.has_report ? report.slots : 0);
+    cs.dcis = ledger.committed_dcis + (ledger.has_report ? report.dcis : 0);
+    cs.restarts = ledger.committed_restarts + lease.handoffs +
+                  (ledger.has_report ? report.restarts : 0);
+    cs.active_ues = live ? report.active_ues : 0;
+    cs.dl_mbps = live ? report.dl_mbps : 0.0;
+    cs.ul_mbps = live ? report.ul_mbps : 0.0;
+    cs.retx_rate = live ? report.retx_rate : 0.0;
+    cs.utilization = live ? report.utilization : 0.0;
     s.slot = std::max(s.slot, cs.slots);
     s.dcis_total += cs.dcis;
     s.restarts_total += cs.restarts;
     s.dl_mbps_total += cs.dl_mbps;
     s.ul_mbps_total += cs.ul_mbps;
-    spare.emplace_back(live ? record.last.spare_prb_rate : 0.0, i);
+    spare.emplace_back(live ? report.spare_prb_rate : 0.0, i);
     s.cells.push_back(std::move(cs));
   }
   double retx_sum = 0.0;
@@ -1234,7 +1060,8 @@ bool FleetCoordinator::all_cells_active() const {
     if (leases_.cell(i).state != LeaseState::kActive) {
       return false;
     }
-    if (!records_[i].has_report || records_[i].last.cell_state != 0) {
+    const CellLedger& ledger = records_[i].ledger;
+    if (!ledger.has_report || ledger.live.cell_state != 0) {
       return false;
     }
   }

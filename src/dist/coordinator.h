@@ -205,20 +205,13 @@ class FleetCoordinator {
     bool is_upstream = false;     ///< our link to the primary (standby)
   };
 
-  /// Per-cell aggregation state: committed totals from ended leases plus
-  /// the live report of the current lease.
+  /// Per-cell aggregation state: what to run, the lifetime ledger, and
+  /// the store ingest cursors.
   struct CellRecord {
-    CoordinatorCellSpec spec;
-    std::uint64_t seed_base = 0;  ///< per-cell seed base (derived once)
-    // Committed (ended leases only; grows monotonically).
-    std::uint64_t committed_slots = 0;
-    std::uint64_t committed_dcis = 0;
-    std::uint64_t committed_retx = 0;
-    std::uint64_t committed_restarts = 0;
-    /// Store-axis base of the current lease (= committed_slots at grant).
-    std::uint64_t lease_base_slot = 0;
-    CellReport last;  ///< latest report under the current lease
-    bool has_report = false;
+    /// Name defaulted and seed derived once; wire_spec() adds the
+    /// incarnation.
+    WireCellSpec spec;
+    CellLedger ledger{};
     /// Per-series ingest cursor: cached series pointer + last global slot,
     /// clamped non-decreasing across lease handoffs.
     struct SeriesCursor {
@@ -226,7 +219,7 @@ class FleetCoordinator {
       std::uint64_t last_slot = 0;
       bool started = false;
     };
-    std::map<std::uint64_t, SeriesCursor> cursors;  ///< by SeriesKey::packed
+    std::map<std::uint64_t, SeriesCursor> cursors{};  ///< by SeriesKey::packed
   };
 
   void io_loop();
@@ -235,17 +228,17 @@ class FleetCoordinator {
   void handle_frame(Connection& conn, const Frame& frame);
   /// Decode `frame` as the payload `handler` takes and call it; a payload
   /// that does not decode is dropped.
-  template <class T>
+  template <class Payload>
   void on(Connection& conn, const Frame& frame,
-          void (FleetCoordinator::*handler)(Connection&, const T&));
+          void (FleetCoordinator::*handler)(Connection&, Payload));
   void handle_worker_hello(Connection& conn, const WorkerHello& hello);
   /// Answer a hello with kNotPrimary (we are a standby or deposed) and
   /// hang up.
   void reply_not_primary(Connection& conn);
   void handle_lease_ack(Connection& conn, const LeaseAck& ack);
   void handle_heartbeat(Connection& conn, const WorkerHeartbeat& hb);
-  void handle_report_batch(Connection& conn, const CellReportBatch& batch);
-  void handle_cell_report(Connection& conn, const CellReport& report);
+  void handle_report_batch(Connection& conn, CellReportBatch batch);
+  void handle_cell_report(Connection& conn, CellReport report);
   void handle_prediction(Connection& conn, const PredictionSet& set);
   /// Timers: dead-worker scan, lease expiry, assignment of unassigned
   /// cells, rebalancing.
@@ -257,13 +250,17 @@ class FleetCoordinator {
   /// event's epoch is stamped here).  A failed send drops that tail; the
   /// standby redials and re-snapshots.
   void replicate(ReplicaEvent event);
+  /// A `kind` event carrying the cell's current lease binding and ledger,
+  /// which the standby adopts verbatim.
+  [[nodiscard]] ReplicaEvent cell_event(ReplicaEventKind kind,
+                                        std::uint32_t cell_index) const;
   /// Send to every replica tail, dropping any whose send fails; returns
   /// how many it reached.
   std::size_t send_to_replicas(const std::vector<std::uint8_t>& bytes);
   [[nodiscard]] ReplicaSnapshot build_snapshot() const;
   /// We saw a frame from a higher epoch: a promoted standby owns the
   /// fleet now.  Stop granting, answer hellos with kNotPrimary.
-  void fence_self(std::uint64_t seen_epoch);
+  void fence_self();
 
   // -- Replication: standby side --
   /// Dial the primary when the upstream link is down and the redial
@@ -274,8 +271,6 @@ class FleetCoordinator {
   void apply_snapshot(const ReplicaSnapshot& snapshot,
                       Clock::time_point now);
   void apply_event(const ReplicaEvent& event, Clock::time_point now);
-  void apply_store_rows(std::uint32_t cell_index,
-                        const std::vector<StoreRowUpdate>& rows);
   /// Close the replication link.  `healthy` links (EOF, silence) redial
   /// at once; a peer that answered wrongly (kNotPrimary, garbage) counts
   /// as a failed dial and backs off.
@@ -287,18 +282,21 @@ class FleetCoordinator {
   /// workers re-confirm instead of getting shuffled.
   void promote(Clock::time_point now);
 
-  void declare_worker_dead(std::uint64_t worker_id, const char* why);
+  void declare_worker_dead(std::uint64_t worker_id);
   /// Release the cell's lease, folding its last report into the committed
   /// totals so the lifetime view never rewinds.
   void end_lease(std::uint32_t cell_index, bool penalize,
                  Clock::time_point now);
   void try_assign(std::uint32_t cell_index, Clock::time_point now);
   void rebalance(Clock::time_point now);
-  /// Ingest a report's rows into the embedded store.  When `replicated`
-  /// is non-null, the rows actually appended are copied there with their
-  /// slots rebased to the cell's global lifetime axis (kStoreRows feed).
-  void ingest_rows(std::uint32_t cell_index, CellRecord& record,
-                   const CellReport& report,
+  /// Append rows to the embedded store, each slot rebased by `base_slot`
+  /// onto the cell's lifetime axis: a report's lease-local rows on the
+  /// primary, already rebased kStoreRows rows (base 0) on a standby.
+  /// When `replicated` is non-null, the rows actually appended are copied
+  /// there with their rebased slots (the kStoreRows feed).
+  void ingest_rows(std::uint32_t cell_index,
+                   const std::vector<StoreRowUpdate>& rows,
+                   std::uint64_t base_slot,
                    std::vector<StoreRowUpdate>* replicated);
   [[nodiscard]] bool has_replica() const;
   /// Synchronous best-effort send on the io thread (SO_SNDTIMEO-bounded);

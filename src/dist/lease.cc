@@ -142,6 +142,18 @@ bool LeaseTable::rebind(std::uint64_t lease_id,
   return true;
 }
 
+std::vector<std::uint32_t> LeaseTable::held_by(
+    std::uint64_t worker_id) const {
+  std::vector<std::uint32_t> out;
+  for (const Lease& lease : leases_) {
+    if (lease.state != LeaseState::kUnassigned &&
+        lease.worker_id == worker_id) {
+      out.push_back(lease.cell_index);
+    }
+  }
+  return out;
+}
+
 std::vector<std::uint32_t> LeaseTable::expired(TimePoint now) const {
   std::vector<std::uint32_t> out;
   for (const Lease& lease : leases_) {

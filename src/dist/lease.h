@@ -108,6 +108,11 @@ class LeaseTable {
   /// Live lease lookup by id (nullptr when no cell currently holds it).
   [[nodiscard]] Lease* by_id(std::uint64_t lease_id);
 
+  /// Cells whose lease (pending or active) `worker_id` holds, ascending.
+  /// The lease table is the one record of which worker runs which cell.
+  [[nodiscard]] std::vector<std::uint32_t> held_by(
+      std::uint64_t worker_id) const;
+
   [[nodiscard]] Lease& cell(std::uint32_t cell_index) {
     return leases_[cell_index];
   }

@@ -733,12 +733,7 @@ void fields(Ar& ar, ReplicaWorker& v) {
 }
 
 template <class Ar>
-void fields(Ar& ar, ReplicaCell& v) {
-  ar(v.spec);
-  ar(v.lease_state);
-  ar(v.lease_id);
-  ar(v.worker_id);
-  ar(v.handoffs);
+void fields(Ar& ar, CellLedger& v) {
   ar(v.committed_slots);
   ar(v.committed_dcis);
   ar(v.committed_retx);
@@ -746,6 +741,16 @@ void fields(Ar& ar, ReplicaCell& v) {
   ar(v.lease_base_slot);
   ar(v.has_report);
   ar(v.live);
+}
+
+template <class Ar>
+void fields(Ar& ar, ReplicaCell& v) {
+  ar(v.spec);
+  ar(v.lease_state);
+  ar(v.lease_id);
+  ar(v.worker_id);
+  ar(v.handoffs);
+  ar(v.ledger);
 }
 
 template <class Ar>
@@ -767,13 +772,7 @@ void fields(Ar& ar, ReplicaEvent& v) {
   ar(v.handoffs);
   ar(v.worker_name);
   ar(v.capacity);
-  ar(v.committed_slots);
-  ar(v.committed_dcis);
-  ar(v.committed_retx);
-  ar(v.committed_restarts);
-  ar(v.lease_base_slot);
-  ar(v.has_report);
-  ar(v.live);
+  ar(v.ledger);
   ar(v.rows);
 }
 

@@ -418,23 +418,33 @@ struct ReplicaWorker {
   [[nodiscard]] bool operator==(const ReplicaWorker&) const = default;
 };
 
+/// One cell's lifetime ledger at the coordinator: the totals committed by
+/// ended leases, the store-axis base of the current lease and its latest
+/// report.  The coordinator keeps one per cell and replicates it verbatim
+/// in the snapshot and in every cell event.  `live` never holds rows —
+/// history rows replicate separately (already rebased) via kStoreRows
+/// events.
+struct CellLedger {
+  // Committed: ended leases only; grows monotonically.
+  std::uint64_t committed_slots = 0;
+  std::uint64_t committed_dcis = 0;
+  std::uint64_t committed_retx = 0;
+  std::uint64_t committed_restarts = 0;
+  std::uint64_t lease_base_slot = 0;  ///< committed_slots at the grant
+  bool has_report = false;            ///< `live` came from the current lease
+  CellReport live;
+  [[nodiscard]] bool operator==(const CellLedger&) const = default;
+};
+
 /// One cell's full replicated state: the spec (so a standby needs no cell
-/// list of its own), the lease binding, the committed lifetime totals and
-/// the live in-flight report.  `live` always has empty rows — history rows
-/// replicate separately (already rebased) via kStoreRows events.
+/// list of its own), the lease binding and the ledger.
 struct ReplicaCell {
   WireCellSpec spec;
   std::uint8_t lease_state = 0;  ///< raw dist LeaseState
   std::uint64_t lease_id = 0;
   std::uint64_t worker_id = 0;
   std::uint32_t handoffs = 0;
-  std::uint64_t committed_slots = 0;
-  std::uint64_t committed_dcis = 0;
-  std::uint64_t committed_retx = 0;
-  std::uint64_t committed_restarts = 0;
-  std::uint64_t lease_base_slot = 0;
-  bool has_report = false;
-  CellReport live;  ///< rows always empty on the wire
+  CellLedger ledger;
   [[nodiscard]] bool operator==(const ReplicaCell&) const = default;
 };
 
@@ -452,14 +462,16 @@ struct ReplicaSnapshot {
 
 /// What one kReplicaEvent mutates.  The event payload is a fixed superset
 /// of every kind's fields (unused ones travel as zeros/empties) so its
-/// schema stays flat, with no kind-dependent branching.
+/// schema stays flat, with no kind-dependent branching.  The four cell
+/// kinds name why the primary sent it; each carries the cell's whole lease
+/// binding (lease_id, worker_id, lease_state, handoffs) and ledger.
 enum class ReplicaEventKind : std::uint8_t {
   kWorkerJoin = 0,    ///< catalog add: worker_id, worker_name, capacity
   kWorkerLeave = 1,   ///< catalog remove: worker_id
-  kLeaseGrant = 2,    ///< cell_index, lease_id, worker_id, lease_base_slot
-  kLeaseRenew = 3,    ///< heartbeat renewal / ack: cell_index, lease_state
-  kLeaseRelease = 4,  ///< lease ended: post-fold committed totals, handoffs
-  kCellTotals = 5,    ///< report ingested: committed totals + live report
+  kLeaseGrant = 2,    ///< cell: lease granted
+  kLeaseRenew = 3,    ///< cell: lease acked, or rebound after failover
+  kLeaseRelease = 4,  ///< cell: lease ended, totals folded
+  kCellTotals = 5,    ///< cell: report ingested
   kStoreRows = 6,     ///< history rows, already rebased to global slots
 };
 
@@ -476,13 +488,7 @@ struct ReplicaEvent {
   std::uint32_t handoffs = 0;
   std::string worker_name;   ///< kWorkerJoin
   std::uint32_t capacity = 0;  ///< kWorkerJoin
-  std::uint64_t committed_slots = 0;
-  std::uint64_t committed_dcis = 0;
-  std::uint64_t committed_retx = 0;
-  std::uint64_t committed_restarts = 0;
-  std::uint64_t lease_base_slot = 0;
-  bool has_report = false;
-  CellReport live;  ///< kCellTotals; rows always empty on the wire
+  CellLedger ledger;           ///< cell kinds
   /// kStoreRows: rows with `slot` already rebased to the cell's global
   /// lifetime axis (unlike CellReport rows, which are lease-local).
   std::vector<StoreRowUpdate> rows;

@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.h"
@@ -88,42 +89,50 @@ ReadEnd read_for(int fd, FrameParser& parser, double timeout_s,
 TEST(WorkerCatalog, AddAssignsUniqueIdsAndFindWorks) {
   WorkerCatalog catalog;
   const auto now = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, now);
-  const std::uint64_t b = catalog.add("b", 2, 1, 11, now);
+  const std::uint64_t a = catalog.add("a", 4, 10, now);
+  const std::uint64_t b = catalog.add("b", 2, 11, now);
   ASSERT_NE(a, 0u);
   ASSERT_NE(b, 0u);
   EXPECT_NE(a, b);
   ASSERT_NE(catalog.find(a), nullptr);
   EXPECT_EQ(catalog.find(a)->name, "a");
   EXPECT_EQ(catalog.find(a)->capacity, 4u);
-  ASSERT_NE(catalog.find_by_fd(11), nullptr);
-  EXPECT_EQ(catalog.find_by_fd(11)->id, b);
   EXPECT_EQ(catalog.find(9999), nullptr);
   EXPECT_EQ(catalog.alive_count(), 2u);
 }
 
 TEST(WorkerCatalog, PickLeastLoadedPrefersFewestCellsThenLowestId) {
   WorkerCatalog catalog;
+  LeaseTable leases(8, LeaseTable::Config{});
   const auto now = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, now);
-  const std::uint64_t b = catalog.add("b", 4, 2, 11, now);
+  const std::uint64_t a = catalog.add("a", 4, 10, now);
+  const std::uint64_t b = catalog.add("b", 4, 11, now);
   // Tie at zero cells: deterministic lowest id.
-  ASSERT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(a));
-  catalog.find(a)->cells = {0, 1};
-  ASSERT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(b));
+  ASSERT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(a));
+  leases.grant(0, a, now);
+  leases.grant(1, a, now);
+  ASSERT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(b));
   // Saturate both: nothing to pick.
-  catalog.find(a)->cells = {0, 1, 2, 3};
-  catalog.find(b)->cells = {4, 5, 6, 7};
-  EXPECT_FALSE(catalog.pick_least_loaded().has_value());
+  for (std::uint32_t cell = 2; cell < 4; ++cell) {
+    leases.grant(cell, a, now);
+  }
+  for (std::uint32_t cell = 4; cell < 8; ++cell) {
+    leases.grant(cell, b, now);
+  }
+  EXPECT_FALSE(catalog.pick_least_loaded(leases).has_value());
 }
 
 TEST(WorkerCatalog, DeadWorkersAreNeverPickedAndSilenceIsDetected) {
   WorkerCatalog catalog;
+  const LeaseTable leases(1, LeaseTable::Config{});
   const auto t0 = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, t0);
-  const std::uint64_t b = catalog.add("b", 4, 2, 11, t0);
+  const std::uint64_t a = catalog.add("a", 4, 10, t0);
+  const std::uint64_t b = catalog.add("b", 4, 11, t0);
   catalog.mark_dead(a);
-  EXPECT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(b));
+  EXPECT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(b));
   EXPECT_EQ(catalog.alive_count(), 1u);
 
   // b heartbeats at t0 + 1s; a's silence does not matter (already dead).
@@ -533,17 +542,19 @@ TEST(LeaseTable, ResetDropsEverything) {
 
 TEST(WorkerCatalog, RestoredGhostsAreNeverPickedAndTouchAllDefersSilence) {
   WorkerCatalog catalog;
+  const LeaseTable leases(1, LeaseTable::Config{});
   const auto t0 = Clock::now();
   // Mirrored entry: no socket yet (fd -1) — a ghost awaiting reconnect.
   catalog.restore(7, "ghost", 8, t0);
   ASSERT_NE(catalog.find(7), nullptr);
   EXPECT_LT(catalog.find(7)->fd, 0);
   EXPECT_TRUE(catalog.find(7)->alive);
-  EXPECT_FALSE(catalog.pick_least_loaded().has_value())
+  EXPECT_FALSE(catalog.pick_least_loaded(leases).has_value())
       << "a ghost must never receive fresh leases";
 
-  const std::uint64_t live = catalog.add("live", 4, 2, 10, t0);
-  EXPECT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(live));
+  const std::uint64_t live = catalog.add("live", 4, 10, t0);
+  EXPECT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(live));
 
   // add() ids keep climbing past restored ids (no collision after resync).
   EXPECT_GT(live, 7u);
@@ -681,6 +692,69 @@ TEST(DistE2E, StandbyMirrorsStateAndPromotesWithoutReassignment) {
   w0.stop();
   w1.stop();
   standby.stop();
+}
+
+TEST(DistE2E, StandbyMirrorsWorkerCellsAcrossRebalance) {
+  constexpr unsigned kCells = 4;
+  CoordinatorConfig primary_config = coordinator_config(kCells);
+  // Generous TTL and timeout: on a loaded runner no lease may expire, so
+  // the only handoffs are the rebalance's revokes.
+  primary_config.lease_ttl_ms = 15000;
+  primary_config.heartbeat_timeout_s = 5.0;
+  FleetCoordinator primary(std::move(primary_config));
+  CoordinatorConfig standby_config;
+  standby_config.standby_of = "127.0.0.1:" + std::to_string(primary.port());
+  FleetCoordinator standby(std::move(standby_config));
+
+  FleetWorker w0(worker_config(primary.port(), "w0", kCells));
+  ASSERT_TRUE(wait_until([&] {
+    return primary.all_cells_active() && standby.synced();
+  }, 30.0)) << "one worker never carried the fleet under a synced standby";
+
+  // The join rebalances: w0 sheds cells, the primary revokes them and
+  // grants them to w1, and every step reaches the standby as an event.
+  FleetWorker w1(worker_config(primary.port(), "w1", kCells));
+  ASSERT_TRUE(wait_until([&] {
+    const auto workers = primary.workers();
+    return workers.size() == 2 && !workers[0].cells.empty() &&
+           !workers[1].cells.empty() && primary.all_cells_active();
+  }, 30.0)) << "the join never rebalanced the fleet";
+  unsigned handoffs = 0;
+  for (const DistCellStatus& cell : primary.cells()) {
+    handoffs += cell.handoffs;
+  }
+  EXPECT_GT(handoffs, 0u) << "no lease was revoked";
+
+  using Holders = std::map<std::uint64_t, std::vector<std::uint32_t>>;
+  using Leases = std::vector<
+      std::tuple<std::uint64_t, std::uint64_t, LeaseState, unsigned>>;
+  const auto holders = [](const FleetCoordinator& c) {
+    Holders out;
+    for (const DistWorkerStatus& worker : c.workers()) {
+      out[worker.id] = worker.cells;
+    }
+    return out;
+  };
+  const auto leases = [](const FleetCoordinator& c) {
+    Leases out;
+    for (const DistCellStatus& cell : c.cells()) {
+      out.emplace_back(cell.lease_id, cell.worker_id, cell.lease_state,
+                       cell.handoffs);
+    }
+    return out;
+  };
+  // Replication is asynchronous: give the mirror time to catch up.
+  wait_until([&] {
+    return holders(standby) == holders(primary) &&
+           leases(standby) == leases(primary);
+  }, 10.0);
+  EXPECT_EQ(holders(standby), holders(primary));
+  EXPECT_EQ(leases(standby), leases(primary));
+
+  w0.stop();
+  w1.stop();
+  standby.stop();
+  primary.stop();
 }
 
 TEST(DistE2E, WorkerSkipsStandbyViaNotPrimary) {

@@ -276,14 +276,14 @@ inline ReplicaSnapshot sample<ReplicaSnapshot>() {
   cell.lease_id = 91;
   cell.worker_id = 7;
   cell.handoffs = 2;
-  cell.committed_slots = 40000;
-  cell.committed_dcis = 9000;
-  cell.committed_retx = 300;
-  cell.committed_restarts = 1;
-  cell.lease_base_slot = 32000;
-  cell.has_report = true;
-  cell.live = sample_cell_report();
-  cell.live.rows.clear();  // rows travel separately via kStoreRows
+  cell.ledger.committed_slots = 40000;
+  cell.ledger.committed_dcis = 9000;
+  cell.ledger.committed_retx = 300;
+  cell.ledger.committed_restarts = 1;
+  cell.ledger.lease_base_slot = 32000;
+  cell.ledger.has_report = true;
+  cell.ledger.live = sample_cell_report();
+  cell.ledger.live.rows.clear();  // rows travel separately via kStoreRows
   snapshot.cells.push_back(cell);
   ReplicaCell idle;
   idle.spec = sample_cell_spec();
@@ -304,14 +304,14 @@ inline ReplicaEvent sample<ReplicaEvent>() {
   event.handoffs = 2;
   event.worker_name = "rack1";
   event.capacity = 8;
-  event.committed_slots = 41000;
-  event.committed_dcis = 9100;
-  event.committed_retx = 305;
-  event.committed_restarts = 1;
-  event.lease_base_slot = 32000;
-  event.has_report = true;
-  event.live = sample_cell_report();
-  event.live.rows.clear();
+  event.ledger.committed_slots = 41000;
+  event.ledger.committed_dcis = 9100;
+  event.ledger.committed_retx = 305;
+  event.ledger.committed_restarts = 1;
+  event.ledger.lease_base_slot = 32000;
+  event.ledger.has_report = true;
+  event.ledger.live = sample_cell_report();
+  event.ledger.live.rows.clear();
   event.rows.push_back({0xFFFD, 5, 41000, 3.0});
   event.rows.push_back({0x4601, 0, 41001, 8424.0});
   return event;

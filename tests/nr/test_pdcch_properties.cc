@@ -3,18 +3,28 @@
 // encode->decode must be the identity and CRC must reject cross-talk.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "nr/pdcch.h"
 
 namespace nrs {
 namespace {
 
+/// Printed field by field so the generated test names do not carry the
+/// struct's padding bytes, which are not initialised.
 struct ChainParams {
   unsigned n_prb_bwp;
   unsigned coreset_prb;
   unsigned duration;
   bool interleaved;
   unsigned agg_level;
+
+  friend void PrintTo(const ChainParams& p, std::ostream* os) {
+    *os << "(bwp " << p.n_prb_bwp << ", coreset " << p.coreset_prb << "x"
+        << p.duration << (p.interleaved ? " interleaved" : " plain")
+        << ", L" << p.agg_level << ")";
+  }
 };
 
 class PdcchChainTest : public ::testing::TestWithParam<ChainParams> {};
