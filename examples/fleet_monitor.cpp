@@ -99,31 +99,36 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-void print_table(const FleetOrchestrator& fleet) {
-  const FleetRollup roll = fleet.rollup();
+void print_table(const FleetOrchestrator& fleet,
+                 const MetricsRegistry& registry) {
+  const FleetSummary s = fleet.summary();
+  const MetricsSnapshot snap = registry.snapshot();
   std::printf("%5s %-8s %-8s %9s %8s %5s %9s %8s %7s %6s %8s %7s %7s\n",
               "cell", "name", "state", "slots", "dcis", "ues", "dl Mbps",
               "ul Mbps", "retx%", "util%", "restarts", "resync", "degr");
-  for (const CellRollup& c : roll.cells) {
+  for (const CellSummary& c : s.cells) {
+    const std::string ns = "fleet.cell" + std::to_string(c.cell_index) + ".";
     std::printf("%5u %-8s %-8s %9llu %8llu %5u %9.2f %8.2f %7.2f %6.1f "
                 "%8llu %7llu %7llu\n",
                 c.cell_index, c.name.c_str(),
-                to_string(fleet.cell_state(c.cell_index)),
+                to_string(static_cast<FleetCellState>(c.state)),
                 static_cast<unsigned long long>(c.slots),
                 static_cast<unsigned long long>(c.dcis), c.active_ues,
                 c.dl_mbps, c.ul_mbps, 100.0 * c.retx_rate,
                 100.0 * c.utilization,
                 static_cast<unsigned long long>(c.restarts),
-                static_cast<unsigned long long>(c.resync_slots),
-                static_cast<unsigned long long>(c.degraded_slots));
+                static_cast<unsigned long long>(
+                    snap.counter_value(ns + "resync_slots")),
+                static_cast<unsigned long long>(
+                    snap.counter_value(ns + "degraded_slots")));
   }
   std::printf("fleet: slot=%llu dcis=%llu dl=%.2f Mbps ul=%.2f Mbps "
               "retx=%.2f%% restarts=%llu  spare ranking:",
-              static_cast<unsigned long long>(roll.slot),
-              static_cast<unsigned long long>(roll.dcis_total),
-              roll.dl_mbps_total, roll.ul_mbps_total, 100.0 * roll.retx_rate,
-              static_cast<unsigned long long>(roll.restarts_total));
-  for (const std::uint32_t idx : roll.spare_ranking) {
+              static_cast<unsigned long long>(s.slot),
+              static_cast<unsigned long long>(s.dcis_total),
+              s.dl_mbps_total, s.ul_mbps_total, 100.0 * s.retx_rate,
+              static_cast<unsigned long long>(s.restarts_total));
+  for (const std::uint32_t idx : s.spare_ranking) {
     std::printf(" %u", idx);
   }
   std::printf("\n\n");
@@ -156,8 +161,6 @@ int main(int argc, char** argv) {
   FleetConfig config;
   config.seed = opt.seed;
   config.pool_threads = 4;
-  config.stream = server.get();
-  config.aggregate_period_ticks = 10;
   for (unsigned i = 0; i < opt.cells; ++i) {
     FleetCellSpec spec;
     spec.cell = preset_cell(opt.preset);
@@ -231,8 +234,11 @@ int main(int argc, char** argv) {
        target < opt.slots && !nrs_examples::stop_requested();
        target += chunk) {
     fleet.run_until(target);
+    if (server != nullptr) {
+      server->broadcast_frame(frame(fleet.summary()));
+    }
     if (target >= next_report) {
-      print_table(fleet);
+      print_table(fleet, registry);
       next_report += opt.report_every;
     }
   }
@@ -244,7 +250,7 @@ int main(int argc, char** argv) {
   }
   fleet.stop();
   std::printf("final state:\n");
-  print_table(fleet);
+  print_table(fleet, registry);
 
   const MetricsSnapshot snap = registry.snapshot();
   const auto* latency = snap.find_histogram("fleet.slot_latency_us");

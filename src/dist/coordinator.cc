@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "common/backoff.h"
+#include "common/rng.h"
+#include "fleet/aggregator.h"
 
 namespace nrs {
 
@@ -28,13 +30,6 @@ constexpr double kPromoteAfterS = 0.3;
 /// Standby upstream redial backoff (jittered like every other path).
 constexpr BackoffPolicy kUpstreamBackoff{0.05, 0.5};
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 std::chrono::steady_clock::duration to_duration(double seconds) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(seconds));
@@ -49,6 +44,28 @@ LeaseState to_lease_state(std::uint8_t raw) {
 }
 
 }  // namespace
+
+CellReport lifetime_report(const CellLedger& ledger, const Lease& lease) {
+  static const CellReport kNoReport{};
+  const CellReport& current = ledger.has_report ? ledger.live : kNoReport;
+  CellReport r;
+  if (ledger.has_report && lease.state == LeaseState::kActive) {
+    r = ledger.live;
+  } else {
+    // kBackoff is the honest description of an unassigned cell: down now,
+    // the supervisor (here: the lease table) intends to bring it back.
+    r.cell_state = 1;
+  }
+  r.cell_index = lease.cell_index;
+  r.slots = ledger.committed_slots + current.slots;
+  r.dcis = ledger.committed_dcis + current.dcis;
+  r.retx_dcis = ledger.committed_retx + current.retx_dcis;
+  r.restarts = ledger.committed_restarts + lease.handoffs + current.restarts;
+  r.retx_rate = r.dcis > 0 ? static_cast<double>(r.retx_dcis) /
+                                 static_cast<double>(r.dcis)
+                           : 0.0;
+  return r;
+}
 
 const char* to_string(CoordinatorRole role) {
   switch (role) {
@@ -978,8 +995,8 @@ std::vector<DistCellStatus> FleetCoordinator::cells() const {
   std::vector<DistCellStatus> out;
   out.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellLedger& ledger = records_[i].ledger;
     const Lease& lease = leases_.cell(i);
+    const CellReport totals = lifetime_report(records_[i].ledger, lease);
     DistCellStatus status;
     status.cell_index = i;
     status.name = records_[i].spec.name;
@@ -987,11 +1004,9 @@ std::vector<DistCellStatus> FleetCoordinator::cells() const {
     status.lease_id = lease.lease_id;
     status.worker_id = lease.worker_id;
     status.handoffs = lease.handoffs;
-    status.slots = ledger.committed_slots +
-                   (ledger.has_report ? ledger.live.slots : 0);
-    status.dcis =
-        ledger.committed_dcis + (ledger.has_report ? ledger.live.dcis : 0);
-    status.cell_state = ledger.has_report ? ledger.live.cell_state : 1;
+    status.slots = totals.slots;
+    status.dcis = totals.dcis;
+    status.cell_state = totals.cell_state;
     out.push_back(std::move(status));
   }
   return out;
@@ -999,55 +1014,15 @@ std::vector<DistCellStatus> FleetCoordinator::cells() const {
 
 FleetSummary FleetCoordinator::summary() const {
   std::lock_guard lock(state_mutex_);
-  FleetSummary s;
-  std::vector<std::pair<double, std::uint32_t>> spare;
-  spare.reserve(records_.size());
-  s.cells.reserve(records_.size());
+  std::vector<CellReport> totals;
+  std::vector<std::string> names;
+  totals.reserve(records_.size());
+  names.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellLedger& ledger = records_[i].ledger;
-    const CellReport& report = ledger.live;
-    const Lease& lease = leases_.cell(i);
-    const bool live =
-        lease.state == LeaseState::kActive && ledger.has_report;
-    CellSummary cs;
-    cs.cell_index = i;
-    cs.name = records_[i].spec.name;
-    // kBackoff is the honest description of an unassigned cell: down now,
-    // the supervisor (here: the lease table) intends to bring it back.
-    cs.state = live ? report.cell_state : 1;
-    cs.slots = ledger.committed_slots + (ledger.has_report ? report.slots : 0);
-    cs.dcis = ledger.committed_dcis + (ledger.has_report ? report.dcis : 0);
-    cs.restarts = ledger.committed_restarts + lease.handoffs +
-                  (ledger.has_report ? report.restarts : 0);
-    cs.active_ues = live ? report.active_ues : 0;
-    cs.dl_mbps = live ? report.dl_mbps : 0.0;
-    cs.ul_mbps = live ? report.ul_mbps : 0.0;
-    cs.retx_rate = live ? report.retx_rate : 0.0;
-    cs.utilization = live ? report.utilization : 0.0;
-    s.slot = std::max(s.slot, cs.slots);
-    s.dcis_total += cs.dcis;
-    s.restarts_total += cs.restarts;
-    s.dl_mbps_total += cs.dl_mbps;
-    s.ul_mbps_total += cs.ul_mbps;
-    spare.emplace_back(live ? report.spare_prb_rate : 0.0, i);
-    s.cells.push_back(std::move(cs));
+    totals.push_back(lifetime_report(records_[i].ledger, leases_.cell(i)));
+    names.push_back(records_[i].spec.name);
   }
-  double retx_sum = 0.0;
-  std::uint64_t dcis = 0;
-  for (const CellSummary& cs : s.cells) {
-    retx_sum += cs.retx_rate * static_cast<double>(cs.dcis);
-    dcis += cs.dcis;
-  }
-  s.retx_rate = dcis > 0 ? retx_sum / static_cast<double>(dcis) : 0.0;
-  std::stable_sort(spare.begin(), spare.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-  s.spare_ranking.reserve(spare.size());
-  for (const auto& [rate, index] : spare) {
-    s.spare_ranking.push_back(index);
-  }
-  return s;
+  return fold_fleet_summary(totals, names);
 }
 
 std::uint64_t FleetCoordinator::reassignments() const {

@@ -122,8 +122,18 @@ struct DistCellStatus {
   unsigned handoffs = 0;        ///< completed lease handoffs
   std::uint64_t slots = 0;      ///< lifetime (committed + current lease)
   std::uint64_t dcis = 0;
-  std::uint8_t cell_state = 0;  ///< raw FleetCellState from the last report
+  std::uint8_t cell_state = 0;  ///< raw FleetCellState (lifetime_report)
 };
+
+/// One cell's lifetime totals at the coordinator, the record both cells()
+/// and summary() read: slots, dcis and retx_dcis are the committed totals
+/// plus the current lease's report, restarts adds the lease handoffs, and
+/// retx_rate spans the lifetime counts.  The current-lease view
+/// (cell_state, active_ues, throughput, utilization, spare_prb_rate) is
+/// taken only while the lease is kActive with a report; otherwise the cell
+/// reads state 1 (kBackoff) with zero rates.
+[[nodiscard]] CellReport lifetime_report(const CellLedger& ledger,
+                                         const Lease& lease);
 
 /// Point-in-time view of one catalog entry.
 struct DistWorkerStatus {
@@ -156,9 +166,8 @@ class FleetCoordinator {
   [[nodiscard]] std::size_t worker_count() const;
   [[nodiscard]] std::vector<DistWorkerStatus> workers() const;
   [[nodiscard]] std::vector<DistCellStatus> cells() const;
-  /// Wire-ready aggregate built from committed + live per-cell totals;
-  /// monotonic across reassignments.  cells[i].state carries the worker's
-  /// FleetCellState byte; an unassigned cell reports kBackoff.
+  /// Wire-ready aggregate: every cell's lifetime_report folded by
+  /// fold_fleet_summary; monotonic across reassignments.
   [[nodiscard]] FleetSummary summary() const;
   /// Leases released due to worker death or expiry (not rebalancing).
   [[nodiscard]] std::uint64_t reassignments() const;

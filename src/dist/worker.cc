@@ -4,13 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "analysis/prediction_sink.h"
 #include "gnb/presets.h"
-#include "nr/dci.h"
-#include "store/history_store.h"
+#include "store/store_sink.h"
 
 namespace nrs {
 
@@ -77,22 +75,16 @@ class FleetWorker::RowCollector : public SlotSink {
     if (result.sync_state != SyncState::kTracking) {
       return;
     }
-    unsigned used = 0;
-    for (const DecodedDci& dci : result.dcis) {
-      if (is_downlink(dci.grant.format)) {
-        used += dci.grant.prb_len;
-      }
-    }
-    used = std::min(used, n_prb_);
+    const CellSlotRows cell = cell_slot_rows(result, n_prb_);
     rows_.push_back({kStoreCellRnti,
                      static_cast<std::uint8_t>(StoreMetric::kCellDcis), slot,
-                     static_cast<double>(result.dcis.size())});
+                     cell.dcis});
     rows_.push_back({kStoreCellRnti,
                      static_cast<std::uint8_t>(StoreMetric::kCellUsedPrbs),
-                     slot, static_cast<double>(used)});
+                     slot, cell.used_prbs});
     rows_.push_back({kStoreCellRnti,
                      static_cast<std::uint8_t>(StoreMetric::kCellSparePrbs),
-                     slot, static_cast<double>(n_prb_ - used)});
+                     slot, cell.spare_prbs});
   }
 
   /// Move out every buffered row, oldest first.
@@ -504,36 +496,15 @@ void FleetWorker::send_reports() {
   }
   // All leases' reports ride in ONE kCellReportBatch frame per interval:
   // a worker running N cells costs one send on the WAN link, not N.
-  const FleetRollup rollup = orch_->rollup();
   CellReportBatch batch;
   batch.reports.reserve(leases_.size());
   for (const auto& [id, lease] : leases_) {
-    if (lease.local_index >= rollup.cells.size()) {
-      continue;
-    }
-    const CellRollup& cell = rollup.cells[lease.local_index];
-    CellReport report;
+    CellReport report = orch_->cell_report(lease.local_index);
     report.lease_id = id;
     report.epoch = epoch_.load();
     report.cell_index = lease.cell_index;
-    report.cell_state =
-        static_cast<std::uint8_t>(orch_->cell_state(lease.local_index));
-    report.slots = cell.slots;
-    report.dcis = cell.dcis;
-    report.retx_dcis = static_cast<std::uint64_t>(
-        std::llround(cell.retx_rate * static_cast<double>(cell.dcis)));
-    report.restarts = cell.restarts;
-    report.active_ues = cell.active_ues;
-    report.dl_mbps = cell.dl_mbps;
-    report.ul_mbps = cell.ul_mbps;
-    report.retx_rate = cell.retx_rate;
-    report.utilization = cell.utilization;
-    report.spare_prb_rate = cell.spare_prb_rate;
     report.rows = lease.collector->drain();
     batch.reports.push_back(std::move(report));
-  }
-  if (batch.reports.empty()) {
-    return;
   }
   // WAN bound: only history backlog is thinned, never scalar telemetry.
   const std::size_t frame_bytes =

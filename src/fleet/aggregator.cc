@@ -6,12 +6,55 @@
 
 #include "common/timing.h"
 #include "nr/dci.h"
+#include "nr/rach.h"
 
 namespace nrs {
 
-FleetAggregator::FleetAggregator(MetricsRegistry& registry,
-                                 std::uint64_t rate_window_slots)
-    : registry_(&registry), rate_window_slots_(rate_window_slots),
+FleetSummary fold_fleet_summary(const std::vector<CellReport>& cells,
+                                const std::vector<std::string>& names) {
+  FleetSummary s;
+  std::uint64_t retx_total = 0;
+  s.cells.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellReport& r = cells[i];
+    s.cells.push_back(CellSummary{
+        .cell_index = r.cell_index,
+        .name = names[i],
+        .state = r.cell_state,
+        .slots = r.slots,
+        .dcis = r.dcis,
+        .restarts = r.restarts,
+        .active_ues = r.active_ues,
+        .dl_mbps = r.dl_mbps,
+        .ul_mbps = r.ul_mbps,
+        .retx_rate = r.retx_rate,
+        .utilization = r.utilization,
+    });
+    s.slot = std::max(s.slot, r.slots);
+    s.dcis_total += r.dcis;
+    s.restarts_total += r.restarts;
+    s.dl_mbps_total += r.dl_mbps;
+    s.ul_mbps_total += r.ul_mbps;
+    retx_total += r.retx_dcis;
+  }
+  s.retx_rate = s.dcis_total > 0 ? static_cast<double>(retx_total) /
+                                       static_cast<double>(s.dcis_total)
+                                 : 0.0;
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&cells](std::size_t a, std::size_t b) {
+                     return cells[a].spare_prb_rate > cells[b].spare_prb_rate;
+                   });
+  s.spare_ranking.reserve(order.size());
+  for (const std::size_t i : order) {
+    s.spare_ranking.push_back(cells[i].cell_index);
+  }
+  return s;
+}
+
+FleetAggregator::FleetAggregator(MetricsRegistry& registry)
+    : registry_(&registry),
       m_slots_total_(&registry.counter("fleet.slots")),
       m_dcis_total_(&registry.counter("fleet.dcis")),
       m_restarts_total_(&registry.counter("fleet.cell.restarts")) {}
@@ -27,7 +70,7 @@ void FleetAggregator::add_cell(std::uint32_t cell_index,
                                 std::to_string(cell_index) +
                                 " registered twice");
   }
-  auto agg = std::make_unique<CellAgg>(cell, rate_window_slots_);
+  auto agg = std::make_unique<CellAgg>(cell);
   MetricsNamespace ns =
       registry_->with_prefix("fleet.cell" + std::to_string(cell_index) + ".");
   agg->m_slots = &ns.counter("slots");
@@ -52,32 +95,28 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
 
   std::uint64_t slot_retx = 0;
   for (const DecodedDci& dci : result.dcis) {
-    ++agg.dcis;
-    FleetUeTotals& ue = agg.ues[dci.rnti];
-    ++ue.dcis;
-    ue.last_seen_slot = agg.lifetime_slots;
+    // MSG2 DCIs carry RA-RNTIs: they count as cell traffic, not as UEs.
+    if (is_plausible_crnti(dci.rnti)) {
+      agg.last_seen[dci.rnti] = agg.lifetime_slots;
+    }
     if (dci.is_retx) {
       ++slot_retx;
-      ++ue.retx_dcis;
     }
     if (is_downlink(dci.dci.format)) {
       agg.used_prb_slots += static_cast<double>(dci.grant.prb_len);
       if (!dci.is_retx) {
         agg.dl_rate.add(agg.lifetime_slots, dci.grant.tbs);
-        ue.dl_bits += dci.grant.tbs;
       }
     } else if (!dci.is_retx) {
       agg.ul_rate.add(agg.lifetime_slots, dci.grant.tbs);
-      ue.ul_bits += dci.grant.tbs;
     }
   }
+  agg.dcis += result.dcis.size();
   agg.retx_dcis += slot_retx;
   if (result.degraded) {
-    ++agg.degraded_slots;
     agg.m_degraded->inc();
   }
   if (result.sync_state == SyncState::kResync) {
-    ++agg.resync_slots;
     agg.m_resync->inc();
   }
 
@@ -105,89 +144,36 @@ std::uint64_t FleetAggregator::cell_slots(std::uint32_t cell_index) const {
   return cells_.at(cell_index)->lifetime_slots;
 }
 
-std::uint32_t FleetAggregator::active_ues_locked(const CellAgg& agg) const {
-  std::uint32_t active = 0;
-  for (const auto& [rnti, ue] : agg.ues) {
-    if (agg.lifetime_slots - ue.last_seen_slot < rate_window_slots_) {
-      ++active;
-    }
-  }
-  return active;
-}
-
-FleetRollup FleetAggregator::rollup() const {
+CellReport FleetAggregator::report(std::uint32_t cell_index) const {
   std::lock_guard lock(mutex_);
-  FleetRollup roll;
-  std::uint64_t retx_total = 0;
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i] == nullptr) {
-      continue;
-    }
-    const CellAgg& agg = *cells_[i];
-    CellRollup c;
-    c.cell_index = i;
-    c.name = agg.cell.name;
-    c.slots = agg.lifetime_slots;
-    c.dcis = agg.dcis;
-    c.restarts = agg.restarts;
-    c.degraded_slots = agg.degraded_slots;
-    c.resync_slots = agg.resync_slots;
-    c.active_ues = active_ues_locked(agg);
-    agg.m_active_ues->set(c.active_ues);
-    const double slot_s = slot_duration_s(agg.cell.scs);
-    c.dl_mbps = agg.dl_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
-    c.ul_mbps = agg.ul_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
-    c.retx_rate = agg.dcis > 0 ? static_cast<double>(agg.retx_dcis) /
-                                     static_cast<double>(agg.dcis)
-                               : 0.0;
-    c.utilization =
-        agg.offered_prb_slots > 0.0
-            ? std::min(1.0, agg.used_prb_slots / agg.offered_prb_slots)
-            : 0.0;
-    const double dl_fraction = static_cast<double>(agg.cell.tdd.n_dl) /
-                               static_cast<double>(agg.cell.tdd.period);
-    c.spare_prb_rate =
-        (1.0 - c.utilization) * static_cast<double>(agg.cell.n_prb) *
-        dl_fraction;
-
-    roll.slot = std::max(roll.slot, c.slots);
-    roll.dcis_total += c.dcis;
-    roll.restarts_total += c.restarts;
-    roll.dl_mbps_total += c.dl_mbps;
-    roll.ul_mbps_total += c.ul_mbps;
-    retx_total += agg.retx_dcis;
-    roll.cells.push_back(std::move(c));
-  }
-  roll.retx_rate = roll.dcis_total > 0
-                       ? static_cast<double>(retx_total) /
-                             static_cast<double>(roll.dcis_total)
-                       : 0.0;
-  roll.spare_ranking.resize(roll.cells.size());
-  std::iota(roll.spare_ranking.begin(), roll.spare_ranking.end(), 0u);
-  std::stable_sort(roll.spare_ranking.begin(), roll.spare_ranking.end(),
-                   [&roll](std::uint32_t a, std::uint32_t b) {
-                     return roll.cells[a].spare_prb_rate >
-                            roll.cells[b].spare_prb_rate;
-                   });
-  // Rank entries name cell indices, not positions in roll.cells.
-  for (std::uint32_t& r : roll.spare_ranking) {
-    r = roll.cells[r].cell_index;
-  }
-  return roll;
-}
-
-std::map<FleetUeKey, FleetUeTotals> FleetAggregator::ue_totals() const {
-  std::lock_guard lock(mutex_);
-  std::map<FleetUeKey, FleetUeTotals> totals;
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i] == nullptr) {
-      continue;
-    }
-    for (const auto& [rnti, ue] : cells_[i]->ues) {
-      totals[FleetUeKey{i, rnti}] = ue;
+  const CellAgg& agg = *cells_.at(cell_index);
+  CellReport r;
+  r.cell_index = cell_index;
+  r.slots = agg.lifetime_slots;
+  r.dcis = agg.dcis;
+  r.retx_dcis = agg.retx_dcis;
+  r.restarts = agg.restarts;
+  for (const auto& [rnti, seen] : agg.last_seen) {
+    if (agg.lifetime_slots - seen < kFleetRateWindowSlots) {
+      ++r.active_ues;
     }
   }
-  return totals;
+  agg.m_active_ues->set(r.active_ues);
+  const double slot_s = slot_duration_s(agg.cell.scs);
+  r.dl_mbps = agg.dl_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
+  r.ul_mbps = agg.ul_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
+  r.retx_rate = agg.dcis > 0 ? static_cast<double>(agg.retx_dcis) /
+                                   static_cast<double>(agg.dcis)
+                             : 0.0;
+  r.utilization =
+      agg.offered_prb_slots > 0.0
+          ? std::min(1.0, agg.used_prb_slots / agg.offered_prb_slots)
+          : 0.0;
+  const double dl_fraction = static_cast<double>(agg.cell.tdd.n_dl) /
+                             static_cast<double>(agg.cell.tdd.period);
+  r.spare_prb_rate = (1.0 - r.utilization) *
+                     static_cast<double>(agg.cell.n_prb) * dl_fraction;
+  return r;
 }
 
 }  // namespace nrs

@@ -1,12 +1,13 @@
 // Cross-cell telemetry fan-in for the fleet orchestrator: every cell's
 // pipeline pushes its in-order SlotResults here (from that cell's collector
 // thread), and the aggregator maintains restart-surviving lifetime totals —
-// per-cell slot/DCI counts, new-data throughput windows, retransmission
-// rates, PRB utilization — plus per-UE totals keyed by (cell, RNTI), since
-// the same C-RNTI can legitimately exist in two cells at once.  rollup()
-// renders a point-in-time FleetRollup with the spare-capacity ranking the
-// paper's section 5.4.1 use case asks for, fleet-wide.  All per-cell
-// counters also land in the registry under the fleet.cell<N>.* namespace.
+// per-cell slot/DCI/retransmission counts, new-data throughput windows, PRB
+// utilization and the slot each C-RNTI was last seen.  report() renders one
+// cell as the wire CellReport a distributed worker sends, and
+// fold_fleet_summary() turns a set of such reports into the FleetSummary
+// with the spare-capacity ranking the paper's section 5.4.1 use case asks
+// for, fleet-wide.  All per-cell counters also land in the registry under
+// the fleet.cell<N>.* namespace.
 #pragma once
 
 #include <cstdint>
@@ -18,70 +19,32 @@
 
 #include "common/metrics.h"
 #include "common/types.h"
+#include "net/wire.h"
 #include "nr/cell_config.h"
 #include "nrscope/nrscope.h"
 #include "nrscope/telemetry.h"
 
 namespace nrs {
 
-/// Fleet-wide UE identity: (cell, C-RNTI).
-struct FleetUeKey {
-  std::uint32_t cell_index = 0;
-  Rnti rnti = kInvalidRnti;
-  [[nodiscard]] auto operator<=>(const FleetUeKey&) const = default;
-};
+/// Span of the per-cell throughput windows and the active-UE horizon.
+inline constexpr std::uint64_t kFleetRateWindowSlots = 2000;
 
-/// Lifetime totals for one UE (restart-surviving; a UE that re-RACHes into
-/// a different C-RNTI after a cell restart starts a new key).
-struct FleetUeTotals {
-  std::uint64_t dl_bits = 0;  ///< new-data bits only (retx excluded)
-  std::uint64_t ul_bits = 0;
-  std::uint64_t dcis = 0;
-  std::uint64_t retx_dcis = 0;
-  std::uint64_t last_seen_slot = 0;  ///< cell lifetime slot of the last DCI
-};
-
-/// One cell's slice of a FleetRollup.
-struct CellRollup {
-  std::uint32_t cell_index = 0;
-  std::string name;
-  std::uint64_t slots = 0;  ///< lifetime slots delivered (across restarts)
-  std::uint64_t dcis = 0;
-  std::uint64_t restarts = 0;
-  /// Robustness accounting: slots the engine flagged degraded (marginal
-  /// sync health) and slots spent in kResync hunting for the cell.
-  std::uint64_t degraded_slots = 0;
-  std::uint64_t resync_slots = 0;
-  std::uint32_t active_ues = 0;  ///< UEs with a DCI inside the rate window
-  double dl_mbps = 0.0;
-  double ul_mbps = 0.0;
-  double retx_rate = 0.0;       ///< retransmission fraction of all DCIs
-  double utilization = 0.0;     ///< granted / offered DL PRB fraction
-  double spare_prb_rate = 0.0;  ///< unused DL PRBs per slot (ranking key)
-};
-
-/// Point-in-time fleet aggregate (what the kFleet wire frame carries).
-struct FleetRollup {
-  std::uint64_t slot = 0;  ///< max lifetime slot across cells
-  std::uint64_t dcis_total = 0;
-  std::uint64_t restarts_total = 0;
-  double dl_mbps_total = 0.0;
-  double ul_mbps_total = 0.0;
-  double retx_rate = 0.0;
-  /// Cell indices ordered by spare DL capacity, most spare first — the
-  /// fleet-level answer to "which cell should the next flow land on?".
-  std::vector<std::uint32_t> spare_ranking;
-  std::vector<CellRollup> cells;
-};
+/// The one fold from per-cell lifetime reports to the fleet aggregate:
+/// a CellSummary per report (named by `names[i]`, state from cell_state),
+/// the fleet totals, retx_rate = sum(retx_dcis) / sum(dcis), and the cell
+/// indices ordered by spare_prb_rate, most spare first (ties keep report
+/// order).  `names` runs parallel to `cells`.
+[[nodiscard]] FleetSummary fold_fleet_summary(
+    const std::vector<CellReport>& cells,
+    const std::vector<std::string>& names);
 
 class FleetAggregator {
  public:
   /// `registry` receives fleet.slots / fleet.dcis / fleet.cell.restarts
-  /// plus per-cell fleet.cell<N>.{slots,dcis,retx_dcis,restarts} counters
-  /// and the fleet.cell<N>.active_ues gauge.  `rate_window_slots` sizes
-  /// the throughput windows and the active-UE horizon.
-  explicit FleetAggregator(MetricsRegistry& registry,
-                           std::uint64_t rate_window_slots = 2000);
+  /// plus per-cell fleet.cell<N>.{slots,dcis,retx_dcis,restarts,
+  /// degraded_slots,resync_slots} counters and the fleet.cell<N>.active_ues
+  /// gauge.
+  explicit FleetAggregator(MetricsRegistry& registry);
 
   FleetAggregator(const FleetAggregator&) = delete;
   FleetAggregator& operator=(const FleetAggregator&) = delete;
@@ -95,31 +58,29 @@ class FleetAggregator {
   /// every cell's collector thread calls in concurrently.
   void on_cell_slot(std::uint32_t cell_index, const SlotResult& result);
 
-  /// The supervisor restarted this cell (counted, surfaced in rollups and
+  /// The supervisor restarted this cell (counted, surfaced in reports and
   /// the fleet.cell.restarts metric; lifetime totals are NOT reset).
   void on_cell_restart(std::uint32_t cell_index);
 
   /// Lifetime slots delivered by one cell (across restarts).
   [[nodiscard]] std::uint64_t cell_slots(std::uint32_t cell_index) const;
 
-  [[nodiscard]] FleetRollup rollup() const;
-
-  /// Per-UE lifetime totals keyed by (cell, RNTI).
-  [[nodiscard]] std::map<FleetUeKey, FleetUeTotals> ue_totals() const;
+  /// One cell's lifetime telemetry: cell_index, slots, dcis, retx_dcis,
+  /// restarts, active_ues and the rates.  lease_id, epoch, cell_state and
+  /// rows are the caller's.  Also refreshes the active_ues gauge.
+  [[nodiscard]] CellReport report(std::uint32_t cell_index) const;
 
  private:
   struct CellAgg {
-    CellAgg(CellConfig cell_config, std::uint64_t window_slots)
-        : cell(std::move(cell_config)), dl_rate(window_slots),
-          ul_rate(window_slots) {}
+    explicit CellAgg(CellConfig cell_config)
+        : cell(std::move(cell_config)), dl_rate(kFleetRateWindowSlots),
+          ul_rate(kFleetRateWindowSlots) {}
 
     CellConfig cell;
     std::uint64_t lifetime_slots = 0;
     std::uint64_t dcis = 0;
     std::uint64_t retx_dcis = 0;
     std::uint64_t restarts = 0;
-    std::uint64_t degraded_slots = 0;
-    std::uint64_t resync_slots = 0;
     /// PRB-slot accounting for utilization: offered accumulates the cell's
     /// average DL capacity per slot (n_prb * n_dl / period — a fractional
     /// model so it stays correct across restart-induced TDD phase shifts),
@@ -128,7 +89,8 @@ class FleetAggregator {
     double offered_prb_slots = 0.0;
     RateWindow dl_rate;  ///< fed with lifetime slots, so restarts don't
     RateWindow ul_rate;  ///< rewind the window clock
-    std::map<Rnti, FleetUeTotals> ues;
+    /// Lifetime slot of each C-RNTI's latest DCI (RA-RNTIs excluded).
+    std::map<Rnti, std::uint64_t> last_seen;
 
     Counter* m_slots = nullptr;
     Counter* m_dcis = nullptr;
@@ -139,10 +101,7 @@ class FleetAggregator {
     Gauge* m_active_ues = nullptr;
   };
 
-  [[nodiscard]] std::uint32_t active_ues_locked(const CellAgg& agg) const;
-
   MetricsRegistry* registry_;
-  std::uint64_t rate_window_slots_;
   Counter* m_slots_total_;
   Counter* m_dcis_total_;
   Counter* m_restarts_total_;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/backoff.h"
+#include "common/rng.h"
 #include "nrscope/slot_sink.h"
 #include "ue/traffic.h"
 
@@ -21,18 +22,14 @@ using Clock = std::chrono::steady_clock;
 /// re-lock first.
 constexpr std::uint64_t kUeReattachDelaySlots = 600;
 
+/// A cell that delivers this many slots in one incarnation is healthy
+/// again: its backoff resets to the initial value.
+constexpr std::uint64_t kHealthySlots = 200;
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              Clock::now().time_since_epoch())
       .count();
-}
-
-/// SplitMix64 finalizer: cheap, well-mixed seed derivation.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Deterministic per-(cell, incarnation) seed: every restart draws a fresh
@@ -74,14 +71,11 @@ struct FleetFeedState {
     }
   }
 
-  std::atomic<std::uint64_t> slots_delivered{0};
   std::atomic<std::int64_t> last_progress_us{0};
-  // Sync health, mirrored from each delivered SlotResult so the
-  // supervisor can tell "resyncing in place" from "making no progress".
-  std::atomic<std::uint8_t> sync_state{0};
   /// Wall-clock when the current resync spell began; 0 = not resyncing.
+  /// Lets the supervisor tell "resyncing in place" from "making no
+  /// progress".
   std::atomic<std::int64_t> resync_since_us{0};
-  std::atomic<std::uint64_t> degraded_slots{0};
   std::size_t ring_size;
   std::unique_ptr<std::atomic<std::int64_t>[]> push_us;
 };
@@ -110,8 +104,6 @@ class FleetCellSink : public SlotSink {
       cell_latency_->observe(latency);
     }
     aggregator_->on_cell_slot(cell_index_, result);
-    feed_->sync_state.store(static_cast<std::uint8_t>(result.sync_state),
-                            std::memory_order_release);
     if (result.sync_state == SyncState::kResync) {
       // Stamp only on entry, so the supervisor measures the whole spell.
       std::int64_t expected = 0;
@@ -120,10 +112,6 @@ class FleetCellSink : public SlotSink {
     } else {
       feed_->resync_since_us.store(0, std::memory_order_release);
     }
-    if (result.degraded) {
-      feed_->degraded_slots.fetch_add(1, std::memory_order_relaxed);
-    }
-    feed_->slots_delivered.fetch_add(1, std::memory_order_release);
     feed_->last_progress_us.store(now, std::memory_order_release);
   }
 
@@ -140,7 +128,7 @@ class FleetCellSink : public SlotSink {
 FleetOrchestrator::FleetOrchestrator(FleetConfig config,
                                      MetricsRegistry& registry)
     : config_(std::move(config)), registry_(&registry),
-      aggregator_(registry, config_.rate_window_slots),
+      aggregator_(registry),
       pool_(config_.pool_threads),
       m_latency_(&registry.histogram("fleet.slot_latency_us")),
       m_crashes_(&registry.counter("fleet.crashes")),
@@ -432,7 +420,7 @@ void FleetOrchestrator::tick() {
       continue;
     }
     if (aggregator_.cell_slots(runner.index) - runner.slots_at_start >=
-        config_.healthy_slots) {
+        kHealthySlots) {
       runner.backoff_step = 0;  // healthy again: backoff restarts from initial
     }
     // A resyncing engine still delivers slots, so it never looks stalled;
@@ -456,12 +444,6 @@ void FleetOrchestrator::tick() {
     // Every cell is in backoff (or failed): don't spin while waiting for
     // a restart deadline.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  ++tick_count_;
-  if (config_.stream != nullptr && config_.aggregate_period_ticks > 0 &&
-      tick_count_ % config_.aggregate_period_ticks == 0) {
-    config_.stream->broadcast_frame(frame(summary()));
   }
 }
 
@@ -548,33 +530,22 @@ std::uint64_t FleetOrchestrator::cell_slots(std::uint32_t cell_index) const {
   return aggregator_.cell_slots(cell_index);
 }
 
+CellReport FleetOrchestrator::cell_report(std::uint32_t cell_index) const {
+  CellReport report = aggregator_.report(cell_index);
+  report.cell_state = static_cast<std::uint8_t>(cells_.at(cell_index)->state);
+  return report;
+}
+
 FleetSummary FleetOrchestrator::summary() const {
-  const FleetRollup roll = aggregator_.rollup();
-  FleetSummary s;
-  s.slot = roll.slot;
-  s.dcis_total = roll.dcis_total;
-  s.restarts_total = roll.restarts_total;
-  s.dl_mbps_total = roll.dl_mbps_total;
-  s.ul_mbps_total = roll.ul_mbps_total;
-  s.retx_rate = roll.retx_rate;
-  s.spare_ranking = roll.spare_ranking;
-  s.cells.reserve(roll.cells.size());
-  for (const CellRollup& c : roll.cells) {
-    CellSummary cs;
-    cs.cell_index = c.cell_index;
-    cs.name = c.name;
-    cs.state = static_cast<std::uint8_t>(cells_.at(c.cell_index)->state);
-    cs.slots = c.slots;
-    cs.dcis = c.dcis;
-    cs.restarts = c.restarts;
-    cs.active_ues = c.active_ues;
-    cs.dl_mbps = c.dl_mbps;
-    cs.ul_mbps = c.ul_mbps;
-    cs.retx_rate = c.retx_rate;
-    cs.utilization = c.utilization;
-    s.cells.push_back(std::move(cs));
+  std::vector<CellReport> reports;
+  std::vector<std::string> names;
+  reports.reserve(cells_.size());
+  names.reserve(cells_.size());
+  for (const auto& cp : cells_) {
+    reports.push_back(cell_report(cp->index));
+    names.push_back(cp->spec.cell.name);
   }
-  return s;
+  return fold_fleet_summary(reports, names);
 }
 
 }  // namespace nrs

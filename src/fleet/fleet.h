@@ -43,7 +43,6 @@
 #include "common/worker_pool.h"
 #include "fleet/aggregator.h"
 #include "gnb/gnb_sim.h"
-#include "net/stream_server.h"
 #include "net/wire.h"
 #include "nr/cell_config.h"
 #include "nrscope/pipeline.h"
@@ -113,22 +112,11 @@ struct FleetConfig {
   double backoff_max_s = 0.5;
   /// Give up on a cell after this many restarts (-1 = never).
   int max_restarts = 8;
-  /// A cell that delivers this many slots in one incarnation is healthy
-  /// again: its backoff resets to the initial value.
-  std::uint64_t healthy_slots = 200;
   /// Sync loss heals in place (the engine's kResync path) — but a cell
   /// still resyncing after this much wall-clock is escalated to a full
   /// teardown/rebuild.  Must be long enough for the engine's grace window
   /// (resync_grace_slots) to play out at the fleet's feed rate.
   double resync_deadline_s = 3.0;
-
-  std::uint64_t rate_window_slots = 2000;
-
-  /// Optional: broadcast a kFleet aggregate frame on this stream server
-  /// every `aggregate_period_ticks` ticks (the fan-in counterpart of the
-  /// per-cell slot streams).  Not owned; must outlive the orchestrator.
-  TelemetryStreamServer* stream = nullptr;
-  std::uint64_t aggregate_period_ticks = 1;
 };
 
 /// Heartbeat + push-timestamp ring shared between a cell's advance task
@@ -150,7 +138,7 @@ class FleetOrchestrator {
 
   /// One supervision round: restart cells whose backoff expired, advance
   /// every running cell by slots_per_tick slots on the shared pool, then
-  /// check heartbeats and emit the periodic aggregate frame.
+  /// check heartbeats.
   void tick();
 
   /// Tick until every non-failed cell has fed at least `target_slots`
@@ -205,11 +193,11 @@ class FleetOrchestrator {
     return m_resync_escalations_->value();
   }
 
-  [[nodiscard]] const FleetAggregator& aggregator() const {
-    return aggregator_;
-  }
-  [[nodiscard]] FleetRollup rollup() const { return aggregator_.rollup(); }
-  /// Wire-ready aggregate: rollup() plus each cell's supervision state.
+  /// One cell's lifetime telemetry (FleetAggregator::report) with its
+  /// supervision state as cell_state.
+  [[nodiscard]] CellReport cell_report(std::uint32_t cell_index) const;
+  /// Wire-ready aggregate of every cell (fold_fleet_summary); callers
+  /// that stream it broadcast frame(summary()) themselves.
   [[nodiscard]] FleetSummary summary() const;
 
  private:
@@ -263,7 +251,6 @@ class FleetOrchestrator {
   WorkerPool pool_;
   std::vector<std::unique_ptr<CellRunner>> cells_;
   std::vector<SinkSpec> sink_specs_;
-  std::uint64_t tick_count_ = 0;
   bool stopped_ = false;
 
   Histogram* m_latency_;  ///< fleet.slot_latency_us (push -> delivery)

@@ -48,6 +48,9 @@ std::uint8_t choose_tdra(std::size_t backlog_bytes) {
 
 constexpr unsigned kRvSequence[4] = {0, 2, 3, 1};
 
+/// HARQ transmissions (first + retransmissions) before a TB is dropped.
+constexpr unsigned kMaxHarqTx = 4;
+
 }  // namespace
 
 GnbSim::GnbSim(GnbConfig config)
@@ -342,7 +345,7 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
     process.awaiting_retx = false;
   } else {
     ue_ctx.olla_db = std::max(-6.0, ue_ctx.olla_db - 0.45);
-    if (process.tx_count >= config_.max_harq_tx) {
+    if (process.tx_count >= kMaxHarqTx) {
       process.active = false;  // give up; bytes lost
       process.awaiting_retx = false;
     } else {

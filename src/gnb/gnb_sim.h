@@ -31,7 +31,6 @@ struct GnbConfig {
   CellConfig cell;
   SchedulerPolicy policy = SchedulerPolicy::kRoundRobin;
   RrcSetup rrc_setup;  ///< dedicated config handed to every UE in MSG4
-  unsigned max_harq_tx = 4;
   std::uint64_t seed = 1;
 };
 

@@ -84,9 +84,8 @@ class TelemetryStreamServer : public SlotSink {
   void on_slot(const SlotResult& result) override;
   void on_finish() override;
 
-  /// Broadcast an arbitrary pre-encoded frame — e.g. the fleet
-  /// orchestrator's periodic aggregate rollup, frame(FleetSummary) — to
-  /// every connected client.  Thread-safe; a slow client sheds it under
+  /// Broadcast an arbitrary pre-encoded frame — e.g. a fleet aggregate,
+  /// frame(FleetSummary) — to every connected client.  Thread-safe; a slow client sheds it under
   /// the same backpressure policy as slot frames.
   void broadcast_frame(std::vector<std::uint8_t> frame);
 

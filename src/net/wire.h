@@ -103,10 +103,11 @@ struct CellSummary {
   [[nodiscard]] bool operator==(const CellSummary&) const = default;
 };
 
-/// Cross-cell rollup the fleet orchestrator broadcasts periodically: fleet
-/// totals, one CellSummary per cell, and the spare-capacity ranking (cell
-/// indices, most spare capacity first — the section 5.4.1 use case lifted
-/// from one cell to the fleet).
+/// Cross-cell aggregate (fold_fleet_summary in src/fleet) that fleet
+/// monitors and coordinators broadcast periodically: fleet totals, one
+/// CellSummary per cell, and the spare-capacity ranking (cell indices,
+/// most spare capacity first — the section 5.4.1 use case lifted from one
+/// cell to the fleet).
 struct FleetSummary {
   std::uint64_t slot = 0;  ///< fleet slots processed when this was emitted
   std::uint64_t dcis_total = 0;
@@ -314,10 +315,12 @@ struct StoreRowUpdate {
   [[nodiscard]] bool operator==(const StoreRowUpdate&) const = default;
 };
 
-/// Worker -> coordinator: one cell's telemetry under one lease.  Counters
-/// are lease-local lifetime totals (monotonic within the lease); the
-/// coordinator adds them to the totals committed by earlier leases, which
-/// is what keeps the fleet view monotonic across a reassignment.
+/// One cell's telemetry record — the per-cell input of the fleet fold.  A
+/// worker sends its orchestrator's record for the cell under one lease,
+/// with the lease fields and rows set.  Counters are lease-local lifetime
+/// totals (monotonic within the lease); the coordinator adds them to the
+/// totals committed by earlier leases, which is what keeps the fleet view
+/// monotonic across a reassignment.
 struct CellReport {
   std::uint64_t lease_id = 0;
   std::uint64_t epoch = 0;  ///< coordinator term the lease was granted under

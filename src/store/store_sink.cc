@@ -6,10 +6,30 @@
 
 namespace nrs {
 
+namespace {
+
+/// UE-slot cache entries reserved up front (grows on demand; growth is
+/// warm-up, not steady state).
+constexpr std::size_t kReserveUes = 64;
+
+}  // namespace
+
+CellSlotRows cell_slot_rows(const SlotResult& result, unsigned n_prb) {
+  unsigned used = 0;
+  for (const DecodedDci& dci : result.dcis) {
+    if (is_downlink(dci.grant.format)) {
+      used += dci.grant.prb_len;
+    }
+  }
+  used = std::min(used, n_prb);
+  return {static_cast<double>(result.dcis.size()), static_cast<double>(used),
+          static_cast<double>(n_prb - used)};
+}
+
 HistoryStoreSink::HistoryStoreSink(HistoryStore& store,
                                    const StoreSinkConfig& config)
     : store_(&store), config_(config) {
-  ues_.reserve(config_.reserve_ues);
+  ues_.reserve(kReserveUes);
   cell_dcis_ = store_->series(
       {config_.cell_index, kStoreCellRnti, StoreMetric::kCellDcis});
   cell_used_ = store_->series(
@@ -45,15 +65,12 @@ HistoryStoreSink::UeSeries* HistoryStoreSink::ue_series(Rnti rnti) {
 
 void HistoryStoreSink::on_slot(const SlotResult& result) {
   std::uint64_t rows = 0;
-  unsigned used_prbs = 0;
   for (const DecodedDci& dci : result.dcis) {
     UeSeries* ue = ue_series(dci.rnti);
     if (ue == nullptr) {
       continue;
     }
-    const bool dl = is_downlink(dci.grant.format);
-    if (dl) {
-      used_prbs += dci.grant.prb_len;
+    if (is_downlink(dci.grant.format)) {
       if (!dci.is_retx) {
         ue->dl_bits->append(result.slot,
                             static_cast<double>(dci.grant.tbs));
@@ -68,16 +85,12 @@ void HistoryStoreSink::on_slot(const SlotResult& result) {
     ue->prbs->append(result.slot, static_cast<double>(dci.grant.prb_len));
     rows += 3;
   }
-  const bool cell_rows = !config_.cell_rows_only_when_tracking ||
-                         result.sync_state == SyncState::kTracking;
-  if (cell_rows) {
-    const double spare = static_cast<double>(
-        config_.n_prb > used_prbs ? config_.n_prb - used_prbs : 0);
-    cell_dcis_->append(result.slot,
-                       static_cast<double>(result.dcis.size()));
-    cell_used_->append(result.slot, static_cast<double>(
-                                        std::min(used_prbs, config_.n_prb)));
-    cell_spare_->append(result.slot, spare);
+  if (!config_.cell_rows_only_when_tracking ||
+      result.sync_state == SyncState::kTracking) {
+    const CellSlotRows cell = cell_slot_rows(result, config_.n_prb);
+    cell_dcis_->append(result.slot, cell.dcis);
+    cell_used_->append(result.slot, cell.used_prbs);
+    cell_spare_->append(result.slot, cell.spare_prbs);
     rows += 3;
   }
   rows_written_ += rows;

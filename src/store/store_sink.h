@@ -25,10 +25,19 @@ struct StoreSinkConfig {
   /// kCellSparePrbs) only while the engine is tracking, so a resyncing
   /// cell does not record its blindness as spare capacity.
   bool cell_rows_only_when_tracking = true;
-  /// UE-slot cache entries reserved up front (grows on demand; growth is
-  /// warm-up, not steady state).
-  std::size_t reserve_ues = 64;
 };
+
+/// The three cell-level rows of one delivered slot, shared by every
+/// writer of kCellDcis / kCellUsedPrbs / kCellSparePrbs: all DCIs, the
+/// granted downlink PRBs clamped to n_prb, and the PRBs that leaves spare.
+struct CellSlotRows {
+  double dcis = 0.0;
+  double used_prbs = 0.0;
+  double spare_prbs = 0.0;
+};
+
+[[nodiscard]] CellSlotRows cell_slot_rows(const SlotResult& result,
+                                          unsigned n_prb);
 
 class HistoryStoreSink : public SlotSink {
  public:

@@ -5,6 +5,13 @@
 
 namespace nrs {
 
+namespace {
+
+/// SNR margin in the BLER model; decide_ack adds 2 dB for the Shannon gap.
+constexpr double kBlerTargetGapDb = 1.0;
+
+}  // namespace
+
 void PacketTrace::record(std::uint64_t slot, std::size_t bytes,
                          unsigned packets) {
   entries_.push_back(TraceEntry{slot, bytes, packets});
@@ -68,7 +75,7 @@ bool UeEmulator::decide_ack(const Grant& grant) {
   const double eff =
       grant.code_rate * static_cast<double>(bits_per_symbol(grant.modulation));
   const double bler = block_error_probability(
-      snr_db(), eff, config_.bler_target_gap_db + 2.0);
+      snr_db(), eff, kBlerTargetGapDb + 2.0);
   return !rng_.chance(bler);
 }
 

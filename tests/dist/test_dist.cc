@@ -4,6 +4,8 @@
 //   coordinator mutates both only on its io thread, so they are testable
 //   without sockets): deterministic placement, refusal penalties, the
 //   bounded-exponential backoff escalation and its reset on progress.
+//   LifetimeReport / FoldFleetSummary cover the per-cell lifetime totals
+//   and the fleet fold the coordinator's summary() is built from.
 //
 //   DistE2E — a real FleetCoordinator plus real FleetWorker objects over
 //   loopback TCP in one process.  Covers the acceptance bar end to end:
@@ -33,6 +35,7 @@
 #include "dist/coordinator.h"
 #include "dist/lease.h"
 #include "dist/worker.h"
+#include "fleet/aggregator.h"
 #include "net/socket_io.h"
 #include "net/wire.h"
 
@@ -236,6 +239,80 @@ TEST(LeaseTable, DeliberateReleaseIsImmediatelyAssignable) {
   EXPECT_EQ(table.assignable(t0)[0], 0u);
 }
 
+// ---- Lifetime totals -------------------------------------------------
+
+TEST(LifetimeReport, AddsCommittedAndLiveCountsRetxIncluded) {
+  CellLedger ledger;
+  ledger.committed_slots = 1000;
+  ledger.committed_dcis = 400;
+  ledger.committed_retx = 40;
+  ledger.committed_restarts = 1;
+  ledger.has_report = true;
+  ledger.live.cell_state = 0;
+  ledger.live.slots = 500;
+  ledger.live.dcis = 100;
+  ledger.live.retx_dcis = 30;  // the live lease retransmits 3x as often
+  ledger.live.restarts = 2;
+  ledger.live.active_ues = 3;
+  ledger.live.dl_mbps = 5.0;
+  ledger.live.retx_rate = 0.3;
+  ledger.live.spare_prb_rate = 10.0;
+  Lease lease;
+  lease.cell_index = 2;
+  lease.state = LeaseState::kActive;
+  lease.handoffs = 1;
+
+  const CellReport live = lifetime_report(ledger, lease);
+  EXPECT_EQ(live.cell_index, 2u);
+  EXPECT_EQ(live.cell_state, 0u);
+  EXPECT_EQ(live.slots, 1500u);
+  EXPECT_EQ(live.dcis, 500u);
+  EXPECT_EQ(live.retx_dcis, 70u);
+  EXPECT_EQ(live.restarts, 4u) << "committed + handoffs + live";
+  EXPECT_DOUBLE_EQ(live.retx_rate, 70.0 / 500.0) << "lifetime, not live-only";
+  EXPECT_EQ(live.active_ues, 3u);
+  EXPECT_DOUBLE_EQ(live.dl_mbps, 5.0);
+  EXPECT_DOUBLE_EQ(live.spare_prb_rate, 10.0);
+  const FleetSummary fleet = fold_fleet_summary({live}, {"cell2"});
+  EXPECT_DOUBLE_EQ(fleet.retx_rate, 70.0 / 500.0);
+  EXPECT_DOUBLE_EQ(fleet.cells[0].retx_rate, 70.0 / 500.0);
+
+  // A cell whose lease is not active keeps its lifetime counts but reads
+  // kBackoff with no current-lease rates.
+  lease.state = LeaseState::kPending;
+  const CellReport down = lifetime_report(ledger, lease);
+  EXPECT_EQ(down.cell_state, 1u);
+  EXPECT_EQ(down.slots, 1500u);
+  EXPECT_EQ(down.retx_dcis, 70u);
+  EXPECT_EQ(down.active_ues, 0u);
+  EXPECT_DOUBLE_EQ(down.dl_mbps, 0.0);
+  EXPECT_DOUBLE_EQ(down.spare_prb_rate, 0.0);
+}
+
+TEST(FoldFleetSummary, RanksBySpareCapacityStablyAndNamesCellIndices) {
+  std::vector<CellReport> cells(3);
+  const double spare[] = {5.0, 20.0, 5.0};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    cells[i].cell_index = 10 + i;
+    cells[i].slots = 100 * (i + 1);
+    cells[i].dcis = 10;
+    cells[i].retx_dcis = i;
+    cells[i].restarts = 1;
+    cells[i].dl_mbps = 1.0;
+    cells[i].spare_prb_rate = spare[i];
+  }
+  const FleetSummary s = fold_fleet_summary(cells, {"a", "b", "c"});
+  EXPECT_EQ(s.spare_ranking, (std::vector<std::uint32_t>{11, 10, 12}));
+  EXPECT_EQ(s.slot, 300u);
+  EXPECT_EQ(s.dcis_total, 30u);
+  EXPECT_EQ(s.restarts_total, 3u);
+  EXPECT_DOUBLE_EQ(s.dl_mbps_total, 3.0);
+  EXPECT_DOUBLE_EQ(s.retx_rate, 3.0 / 30.0);
+  ASSERT_EQ(s.cells.size(), 3u);
+  EXPECT_EQ(s.cells[1].name, "b");
+  EXPECT_EQ(s.cells[1].cell_index, 11u);
+}
+
 // ---- End-to-end over loopback ----------------------------------------
 
 CoordinatorConfig coordinator_config(unsigned n_cells) {
@@ -346,9 +423,20 @@ TEST(DistE2E, KillReassignsLeasesAndTotalsStayMonotonic) {
   }, 30.0)) << "cells made no progress after the handoff";
   EXPECT_TRUE(monotonic) << "a per-cell lifetime total rewound";
 
-  // summary() agrees with cells() on monotonic lifetime totals.
+  // summary() agrees with cells() on monotonic lifetime totals: each
+  // summary total lies between the cells() views taken around it.
+  const std::vector<DistCellStatus> before = coordinator.cells();
   const FleetSummary summary = coordinator.summary();
+  const std::vector<DistCellStatus> after = coordinator.cells();
   ASSERT_EQ(summary.cells.size(), kCells);
+  for (std::size_t i = 0; i < kCells; ++i) {
+    const CellSummary& cell = summary.cells[i];
+    EXPECT_EQ(cell.cell_index, before[i].cell_index);
+    EXPECT_LE(before[i].slots, cell.slots) << "cell " << i;
+    EXPECT_LE(cell.slots, after[i].slots) << "cell " << i;
+    EXPECT_LE(before[i].dcis, cell.dcis) << "cell " << i;
+    EXPECT_LE(cell.dcis, after[i].dcis) << "cell " << i;
+  }
 
   // Graceful leave: the survivor drains and says goodbye via EOF; every
   // lease is released (deliberately, not as a failure).
@@ -361,6 +449,14 @@ TEST(DistE2E, KillReassignsLeasesAndTotalsStayMonotonic) {
   }
   sample();
   EXPECT_TRUE(monotonic);
+  // With every lease committed the totals are frozen: exact agreement.
+  const FleetSummary drained = coordinator.summary();
+  const std::vector<DistCellStatus> final_cells = coordinator.cells();
+  ASSERT_EQ(drained.cells.size(), final_cells.size());
+  for (std::size_t i = 0; i < final_cells.size(); ++i) {
+    EXPECT_EQ(drained.cells[i].slots, final_cells[i].slots) << "cell " << i;
+    EXPECT_EQ(drained.cells[i].dcis, final_cells[i].dcis) << "cell " << i;
+  }
 
   w0->stop();  // idempotent after kill()
   coordinator.stop();
